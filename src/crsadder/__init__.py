@@ -48,7 +48,6 @@ from .executor import (
     StepRecord,
     calibrate_pulse,
     params_fingerprint,
-    readout_cell,
     run_behavioral,
     run_device,
     time_to_flip,
@@ -83,93 +82,10 @@ from .microcode import (
     comparison_table,
     gen_pc_adder,
     gen_tc_adder,
-    pc_cycle_count,
-    pc_device_count,
     program_from_json,
     program_to_json,
     render_step_table,
-    tc_cycle_count,
-    tc_device_count,
     validate_program,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ArrayDrive",
-    "CalibrationError",
-    "CellAddr",
-    "CellSolution",
-    "ComparisonRow",
-    "ConvergenceError",
-    "CrsDeviceState",
-    "CrsLogicState",
-    "CrsThresholds",
-    "EcmParams",
-    "EcmState",
-    "ExecTrace",
-    "ExecutionError",
-    "IndeterminateStateError",
-    "Program",
-    "PulseParams",
-    "ReadDirective",
-    "ReadRecord",
-    "Signal",
-    "Step",
-    "StepRecord",
-    "ThresholdExtractionError",
-    "add_words_reference",
-    "calibrate_pulse",
-    "carry_next",
-    "carry_oracle",
-    "classify",
-    "comparison_csv",
-    "comparison_markdown",
-    "comparison_table",
-    "crs_pulse",
-    "crs_state_for_bit",
-    "decode_state",
-    "extract_unit_landmarks",
-    "fsm_next",
-    "full_adder_bit",
-    "gen_pc_adder",
-    "gen_tc_adder",
-    "int_to_word",
-    "ionic_current",
-    "load_params",
-    "params_fingerprint",
-    "params_text",
-    "pc_cycle_count",
-    "pc_device_count",
-    "program_from_json",
-    "program_to_json",
-    "readout_cell",
-    "render_step_table",
-    "ripple_add_words",
-    "run_behavioral",
-    "run_device",
-    "save_params",
-    "series_current",
-    "solve_cell_dc",
-    "solve_crs_divider",
-    "state_derivative",
-    "step_crs_transient",
-    "step_transient",
-    "str_to_word",
-    "sub_words_reference",
-    "sum_final",
-    "sum_intermediate",
-    "sweep_iv_crs",
-    "sweep_iv_unit",
-    "tc_cycle_count",
-    "tc_device_count",
-    "time_to_flip",
-    "tunnel_conductance",
-    "tunnel_current",
-    "validate_program",
-    "word_to_int",
-    "word_to_str",
-    "write_states_csv",
-    "write_trace_csv",
-    "write_verdicts_json",
-]

@@ -40,6 +40,7 @@ from .executor import (
     CalibrationError,
     ExecutionError,
     PulseParams,
+    _fmt,
     calibrate_pulse,
     params_fingerprint,
     run_behavioral,
@@ -66,10 +67,6 @@ from .microcode import (
 
 class UsageError(ValueError):
     pass
-
-
-def _fmt(x):
-    return f"{x:.16e}"
 
 
 def _load_params(args):
@@ -146,12 +143,16 @@ def _pulse_from_sidecar(doc):
 
 
 def _calibrated_pulse(args, p, reuse=True):
+    """Pulse for p at args.margin: the sidecar's if it was calibrated for
+    the same parameters and margin, else a fresh search seeded at
+    args.v_seed that overwrites the sidecar."""
     fp = params_fingerprint(p)
     path = _sidecar_path(args, fp)
     if reuse and os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        if doc.get("params_fingerprint") == fp:
+        if (doc.get("params_fingerprint") == fp
+                and doc.get("target_margin") == args.margin):
             return _pulse_from_sidecar(doc), path, True
     pp = calibrate_pulse(p, target_margin=args.margin, v_seed=args.v_seed)
     _write_json(path, {
@@ -282,8 +283,6 @@ def build_parser():
                     help="output directory (default: current)")
     ap.add_argument("--format", choices=("csv", "json", "md"), default="md",
                     help="stdout format where a choice exists")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="reserved; all commands are deterministic")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("sweep", help="quasi-static I-V sweep")
@@ -312,12 +311,16 @@ def build_parser():
     aa.add_argument("--margin", type=float, default=100.0,
                     help="calibration safety margin (device level)")
     aa.add_argument("--v-seed", type=float, default=2.6,
-                    help="starting write amplitude for calibration")
+                    help="starting write amplitude of a fresh calibration")
     aa.set_defaults(func=cmd_adder)
 
     ca = sub.add_parser("calibrate", help="search pulse parameters")
-    ca.add_argument("--margin", type=float, default=100.0)
-    ca.add_argument("--v-seed", type=float, default=2.6)
+    ca.add_argument("--margin", type=float, default=100.0,
+                    help="calibration safety margin; a sidecar made for "
+                         "another margin is recalibrated")
+    ca.add_argument("--v-seed", type=float, default=2.6,
+                    help="starting write amplitude of a fresh search; a "
+                         "reused sidecar ignores it (see --force)")
     ca.add_argument("--force", action="store_true",
                     help="recalibrate even if a sidecar exists")
     ca.set_defaults(func=cmd_calibrate)
@@ -343,10 +346,7 @@ def main(argv=None):
         return 0 if e.code in (0, None) else 2
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except ValueError as e:   # UsageError included
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ConvergenceError, CalibrationError, ExecutionError,

@@ -37,6 +37,7 @@ from .ecm import (
     state_derivative,
     _implicit_substep,
     _rail_masked_rate,
+    _triangle_sweep,
 )
 
 
@@ -291,24 +292,14 @@ def sweep_iv_crs(amplitude, rate, s0, p, n_samples=1200, frac=0.5):
     an amplitude too small to produce a conduction event on both
     branches raises ThresholdExtractionError.
     """
-    if amplitude <= 0 or rate <= 0:
-        raise ValueError("amplitude and rate must be > 0")
-    from .ecm import triangle_voltage
-    total = 4.0 * amplitude / rate
-    state = s0
-    rows = []
-    t_prev = 0.0
-    for k in range(n_samples + 1):
-        t = total * k / n_samples
-        v = triangle_voltage(t, amplitude, rate)
-        if t > t_prev:
-            state = step_crs_transient(state, v, t - t_prev, p,
-                                       max_dt=(t - t_prev))
-            t_prev = t
-        j = series_current(v, state, p)
-        cls = classify(state.top.x, state.bottom.x, p.gap_midpoint())
-        rows.append((v, j, state.top.x, state.bottom.x,
-                     str(cls) if cls is not None else "indeterminate"))
+    def sample(v, s):
+        cls = classify(s.top.x, s.bottom.x, p.gap_midpoint())
+        return (v, series_current(v, s, p), s.top.x, s.bottom.x,
+                str(cls) if cls is not None else "indeterminate")
+
+    rows = _triangle_sweep(
+        amplitude, rate, s0, n_samples,
+        lambda s, v, dt: step_crs_transient(s, v, dt, p, max_dt=dt), sample)
     th = _extract_thresholds(rows, frac)
     missing = [name for name in ("v_th1", "v_th2", "v_th3", "v_th4")
                if getattr(th, name) is None]

@@ -416,12 +416,10 @@ def triangle_voltage(t, amplitude, rate):
     return s - 4.0 * amplitude
 
 
-def sweep_iv_unit(amplitude, rate, s0, p, n_samples=1500):
-    """Triangular quasi-static sweep of a single cell.
-
-    Returns a list of (v, i, x) rows, one per sample instant, after
-    advancing the state across each sampling interval.
-    """
+def _triangle_sweep(amplitude, rate, s0, n_samples, advance, sample):
+    """Rows sample(v, state) at n_samples + 1 even instants of one
+    triangle period; advance(state, v, dt) carries the state across
+    each interval at the interval's end voltage."""
     if amplitude <= 0 or rate <= 0:
         raise ValueError("amplitude and rate must be > 0")
     total = 4.0 * amplitude / rate
@@ -432,12 +430,22 @@ def sweep_iv_unit(amplitude, rate, s0, p, n_samples=1500):
         t = total * k / n_samples
         v = triangle_voltage(t, amplitude, rate)
         if t > t_prev:
-            state = step_transient(state, v, t - t_prev, p,
-                                   max_dt=(t - t_prev))
+            state = advance(state, v, t - t_prev)
             t_prev = t
-        sol = solve_cell_dc(v, state.x, p)
-        rows.append((v, sol.i_total, state.x))
+        rows.append(sample(v, state))
     return rows
+
+
+def sweep_iv_unit(amplitude, rate, s0, p, n_samples=1500):
+    """Triangular quasi-static sweep of a single cell.
+
+    Returns a list of (v, i, x) rows, one per sample instant, after
+    advancing the state across each sampling interval.
+    """
+    return _triangle_sweep(
+        amplitude, rate, s0, n_samples,
+        lambda s, v, dt: step_transient(s, v, dt, p, max_dt=dt),
+        lambda v, s: (v, solve_cell_dc(v, s.x, p).i_total, s.x))
 
 
 def extract_unit_landmarks(rows, p):

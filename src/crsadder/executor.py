@@ -1,10 +1,13 @@
 """Program execution at two fidelity levels, plus pulse calibration.
 
-Behavioral level: every cell is a one-bit state machine updated by
+One step interpreter resolves every step to line levels and hands it,
+whole, to one of two cell backends.
+
+Behavioral backend: every cell is a one-bit state machine updated by
 fsm_next with the step's resolved logic levels; reads return the stored
 bit and leave the cell at ONE.
 
-Device level: every cell is a pair of ECM gap states.  Each step becomes
+Device backend: every cell is a pair of ECM gap states.  Each step becomes
 one rectangular pulse of width t_pulse; line levels map to potentials
 ('1' -> +V_w/2, '0' -> -V_w/2, ground -> 0) so intended writes see the
 full +-V_w, holds see 0, and every other touched cell sees at most
@@ -101,7 +104,7 @@ class ExecTrace:
 
 
 # ======================================================================
-# signal resolution (shared by both levels)
+# the step interpreter (shared by both levels)
 # ======================================================================
 
 def _check_operands(p, a_bits, b_bits, c0):
@@ -146,243 +149,189 @@ def _resolve(sig, a_bits, b_bits, c0, registers, forwards):
     raise ExecutionError(f"unresolvable signal kind {k!r}")
 
 
-def _index_errors(p, sig):
-    if sig.kind in ("a", "b", "not_b") and sig.index >= p.n:
-        raise ExecutionError(f"signal {sig} out of range for n={p.n}")
+def _interpret(p, a_bits, b_bits, c0, cells):
+    """Run p on a cell backend; returns (steps, reads, result_bits).
 
-
-# ======================================================================
-# behavioral level
-# ======================================================================
-
-def run_behavioral(p, a_bits, b_bits, c0=0):
-    """Execute on the one-bit state-machine array; returns an ExecTrace."""
+    Each step resolves once into its driven wordline levels, its bitline
+    levels and the (cell, wl, bl) levels of every cell whose two lines
+    differ (equal levels hold at both levels), and goes to the backend
+    whole.  A step that forwards a read-out takes two half windows: the
+    forwarded bitlines stay grounded while the reads happen, then carry
+    the values read.
+    """
     _check_operands(p, a_bits, b_bits, c0)
-    c0_eff = 1 if p.subtract else c0
-    state = {str(c): 0 for c in p.used_cells}
+    c0 = 1 if p.subtract else c0
     by_line = {}
     for c in p.used_cells:
         by_line.setdefault((c.array, c.wl), {})[c.bl] = str(c)
+    width = {}
+    for step in p.steps:
+        for d in step.drives:
+            width[d.array] = max(width.get(d.array, 0), len(d.bls))
+    labels = {a: [f"A{a}/{bl}" for bl in range(w)] for a, w in width.items()}
     registers = {}
-    step_records = []
-    read_records = []
+    steps, reads = [], []
     for si, step in enumerate(p.steps):
-        # reads resolve before writes: the read-out value is available
-        # to this step's forwarded signals, and the read cell is ONE
-        # when the step's own drive acts on it
+        wls, wl_levels, bl_levels, pairs, pending = {}, {}, {}, [], []
+        for d in step.drives:
+            w = _resolve(d.wl, a_bits, b_bits, c0, registers, {})
+            wls[(d.array, d.wl_index)] = wl_levels[f"A{d.array}"] = w
+            on_line = by_line.get((d.array, d.wl_index), {})
+            for bl, sig in enumerate(d.bls):
+                label, key = labels[d.array][bl], on_line.get(bl)
+                if sig.kind == "read_fwd":
+                    b = "ground"   # undriven until the read lands
+                    pending.append((label, sig, w, key))
+                else:
+                    b = _resolve(sig, a_bits, b_bits, c0, registers, {})
+                bl_levels[label] = b
+                if key is not None and b != w:
+                    pairs.append((key, w, b))
+        got = cells.step(si, step.annotation, wls, pairs,
+                         [str(r.cell) for r in step.reads],
+                         0 if pending else None)
         forwards = {}
-        for r in step.reads:
-            key = str(r.cell)
-            bit = state[key]
-            state[key] = 1
-            forwards[key] = bit
+        for r, (bit, spike, peak) in zip(step.reads, got):
+            forwards[str(r.cell)] = bit
             if r.latch:
                 registers[r.latch] = bit
-            read_records.append(ReadRecord(si, key, r.latch,
-                                           spike=(bit == 0), bit=bit,
-                                           peak_current=None))
-        wl_levels = {}
-        bl_levels = {}
-        for d in step.drives:
-            for sig in (d.wl, *d.bls):
-                _index_errors(p, sig)
-            w = _resolve(d.wl, a_bits, b_bits, c0_eff, registers, forwards)
-            wl_levels[f"A{d.array}"] = w
-            cells = by_line.get((d.array, d.wl_index), {})
-            for bl, sig in enumerate(d.bls):
-                b = _resolve(sig, a_bits, b_bits, c0_eff, registers, forwards)
-                bl_levels[f"A{d.array}/{bl}"] = b
-                key = cells.get(bl)
-                if key is None:
-                    continue
-                if w == "ground" or b == "ground":
-                    continue   # half-selected: holds
-                state[key] = fsm_next(state[key], w, b)
-        step_records.append(StepRecord(si, step.annotation, wl_levels,
-                                       bl_levels, dict(state)))
+            reads.append(ReadRecord(si, str(r.cell), r.latch, spike, bit, peak))
+        if pending:
+            held = {key for *_, key in pending}
+            pairs = [c for c in pairs if c[0] not in held]
+            for label, sig, w, key in pending:
+                b = bl_levels[label] = _resolve(sig, a_bits, b_bits, c0,
+                                                registers, forwards)
+                if key is not None and b != w:
+                    pairs.append((key, w, b))
+            cells.step(si, step.annotation, wls, pairs, [], 1)
+        steps.append(StepRecord(si, step.annotation, wl_levels, bl_levels,
+                                cells.snapshot()))
     result = []
     for c in p.result_cells:
-        bit = state[str(c)]
-        state[str(c)] = 1
-        read_records.append(ReadRecord(len(p.steps), str(c), None,
-                                       spike=(bit == 0), bit=bit,
-                                       peak_current=None))
+        bit, spike, peak = cells.read(str(c))
+        reads.append(ReadRecord(len(p.steps), str(c), None, spike, bit, peak))
         result.append(bit)
-    return ExecTrace("behavioral", p.scheme, p.n, tuple(step_records),
-                     tuple(read_records), tuple(result))
+    return tuple(steps), tuple(reads), tuple(result)
 
 
-# ======================================================================
-# device level
-# ======================================================================
+class _BitCells:
+    """Behavioral backend: one bit per cell, updated by fsm_next."""
 
-def _level_voltage(level, v_w):
-    if level == "ground":
-        return 0.0
-    return 0.5 * v_w if level == 1 else -0.5 * v_w
+    def __init__(self, p):
+        self.state = {str(c): 0 for c in p.used_cells}
 
+    def step(self, si, annotation, wls, pairs, reads, half):
+        # reads come first, so a read cell is ONE when the drive acts
+        got = [self.read(key) for key in reads]
+        state = self.state
+        for key, w, b in pairs:
+            if w != "ground" and b != "ground":   # half-selected: holds
+                state[key] = fsm_next(state[key], w, b)
+        return got
 
-def readout_cell(level, cell_state, pp=None, ep=None):
-    """Destructive read of one cell at either fidelity level.
+    def read(self, key):
+        """Destructive read: (bit, spike, peak); leaves the cell at ONE."""
+        bit = self.state[key]
+        self.state[key] = 1
+        return bit, bit == 0, None
 
-    Returns (bit, spike, state_after).  Behavioral cell_state is a bit;
-    device cell_state is a CrsDeviceState.
-    """
-    if level == "behavioral":
-        bit = cell_state
-        return bit, bit == 0, 1
-    s_after, peak, _ = crs_pulse(cell_state, pp.v_w, pp.t_pulse, ep,
-                                 n_samples=pp.samples_per_pulse)
-    spike = peak > pp.i_spike
-    bit = 0 if spike else 1
-    if decode_state(s_after, ep.gap_midpoint()) is not CrsLogicState.ONE:
-        raise ExecutionError("read did not leave the cell at ONE")
-    return bit, spike, s_after
+    def snapshot(self):
+        return dict(self.state)
 
 
-def run_device(p, a_bits, b_bits, c0=0, pp=None, ep=None):
-    """Execute as pulse waveforms over ECM pairs; returns an ExecTrace.
+class _PairCells:
+    """Device backend: ECM pairs advanced by crs_pulse, currents sampled.
 
     Every used cell starts at ZERO (the init read makes the outcome
     independent of prior content).  Waveform samples cover each pulse
     window; settle gaps are skipped analytically since unbiased cells
     do not move.
     """
-    if pp is None or ep is None:
-        raise ExecutionError("device level needs pulse and cell parameters")
-    _check_operands(p, a_bits, b_bits, c0)
-    c0_eff = 1 if p.subtract else c0
-    mid = ep.gap_midpoint()
-    states = {str(c): crs_state_for_bit(0, ep) for c in p.used_cells}
-    by_line = {}
-    cells_on_bl = {}
-    for c in p.used_cells:
-        by_line.setdefault((c.array, c.wl), {})[c.bl] = str(c)
-        cells_on_bl.setdefault((c.array, c.bl), []).append(str(c))
-    bl_keys = sorted(cells_on_bl)
-    wl_keys = sorted({(c.array, c.wl) for c in p.used_cells})
-    sample_columns = (["time_s", "step_index", "annotation"]
-                      + [f"v_wl_{a}_{w}" for (a, w) in wl_keys]
-                      + [f"i_bl_{a}_{b}" for (a, b) in bl_keys])
 
-    registers = {}
-    step_records = []
-    read_records = []
-    samples = []
-    t_now = 0.0
+    def __init__(self, p, pp, ep):
+        self.pp, self.ep = pp, ep
+        self.states = {str(c): crs_state_for_bit(0, ep) for c in p.used_cells}
+        on_bl = {}
+        for c in p.used_cells:
+            on_bl.setdefault((c.array, c.bl), []).append(str(c))
+        self.wl_keys = sorted({(c.array, c.wl) for c in p.used_cells})
+        self.on_bl = [on_bl[k] for k in sorted(on_bl)]
+        self.columns = (("time_s", "step_index", "annotation")
+                        + tuple(f"v_wl_{a}_{w}" for a, w in self.wl_keys)
+                        + tuple(f"i_bl_{a}_{b}" for a, b in sorted(on_bl)))
+        self.samples = []
+        self.t = 0.0
 
-    def pulse_cells(volt_of, duration, n_samples, t0, si, annot, wl_volts):
-        """Advance every cell under its applied voltage; sample currents."""
-        waves = {}
-        peaks = {}
-        for key, v in volt_of.items():
-            if v == 0.0:
-                waves[key] = None
-                peaks[key] = 0.0
-                continue
-            s_new, peak, rows = crs_pulse(states[key], v, duration, ep,
-                                          n_samples=n_samples)
-            states[key] = s_new
-            waves[key] = rows
-            peaks[key] = peak
-        for j in range(n_samples):
-            row = [t0 + (j + 1) * duration / n_samples, si, annot]
-            row += [wl_volts.get(k, 0.0) for k in wl_keys]
-            for bk in bl_keys:
+    def _volts(self, level):
+        if level == "ground":
+            return 0.0
+        return 0.5 * self.pp.v_w if level == 1 else -0.5 * self.pp.v_w
+
+    def _verdict(self, peak):
+        spike = peak > self.pp.i_spike
+        return (0 if spike else 1), spike, peak
+
+    def step(self, si, annotation, wls, pairs, reads, half):
+        """Pulse the biased cells over the whole window (half=None) or its
+        first (0) or second (1) half; the reads judge this pulse's peaks."""
+        pp = self.pp
+        dur, n, t0 = pp.t_pulse, pp.samples_per_pulse, self.t
+        if half is not None:
+            dur, n = 0.5 * pp.t_pulse, max(2, pp.samples_per_pulse // 2)
+            if half:
+                t0 += dur
+        waves, peaks = {}, {}
+        for key, w, b in pairs:
+            self.states[key], peaks[key], waves[key] = crs_pulse(
+                self.states[key], self._volts(w) - self._volts(b), dur,
+                self.ep, n_samples=n)
+        v_wl = [self._volts(wls[k]) if k in wls else 0.0
+                for k in self.wl_keys]
+        for j in range(n):
+            row = [t0 + (j + 1) * dur / n, si, annotation] + v_wl
+            for keys in self.on_bl:
                 i_bl = 0.0
-                for key in cells_on_bl[bk]:
-                    if waves.get(key) is not None:
+                for key in keys:
+                    if key in waves:
                         i_bl += waves[key][j][2]
                 row.append(i_bl)
-            samples.append(tuple(row))
-        return peaks
+            self.samples.append(tuple(row))
+        if half != 0:
+            self.t = self.t + pp.t_pulse + pp.t_gap
+        return [self._verdict(peaks.get(key, 0.0)) for key in reads]
 
-    for si, step in enumerate(p.steps):
-        for d in step.drives:
-            for sig in (d.wl, *d.bls):
-                _index_errors(p, sig)
-        has_forward = any(sig.kind == "read_fwd"
-                          for d in step.drives for sig in d.bls)
+    def read(self, key):
+        """Destructive read: a full write-ONE pulse that spikes iff the
+        cell held ZERO; returns (bit, spike, peak)."""
+        pp, ep = self.pp, self.ep
+        s, peak, _ = crs_pulse(self.states[key], pp.v_w, pp.t_pulse, ep,
+                               n_samples=pp.samples_per_pulse)
+        if decode_state(s, ep.gap_midpoint()) is not CrsLogicState.ONE:
+            raise ExecutionError("read did not leave the cell at ONE")
+        self.states[key] = s
+        return self._verdict(peak)
 
-        def line_voltages(forwards, forward_pending):
-            wl_volts = {}
-            volt_of = {}
-            bl_levels = {}
-            wl_levels = {}
-            for d in step.drives:
-                w = _resolve(d.wl, a_bits, b_bits, c0_eff, registers,
-                             forwards)
-                wl_levels[f"A{d.array}"] = w
-                v_wl = _level_voltage(w, pp.v_w)
-                wl_volts[(d.array, d.wl_index)] = v_wl
-                cells = by_line.get((d.array, d.wl_index), {})
-                for bl, sig in enumerate(d.bls):
-                    if sig.kind == "read_fwd" and forward_pending:
-                        lvl = "ground"   # undriven until the read lands
-                    else:
-                        lvl = _resolve(sig, a_bits, b_bits, c0_eff,
-                                       registers, forwards)
-                    bl_levels[f"A{d.array}/{bl}"] = lvl
-                    key = cells.get(bl)
-                    if key is not None:
-                        volt_of[key] = v_wl - _level_voltage(lvl, pp.v_w)
-            return wl_volts, volt_of, wl_levels, bl_levels
+    def snapshot(self):
+        mid = self.ep.gap_midpoint()
+        return {key: str(decode_state(s, mid))
+                for key, s in self.states.items()}
 
-        if not has_forward:
-            wl_volts, volt_of, wl_levels, bl_levels = line_voltages({}, False)
-            peaks = pulse_cells(volt_of, pp.t_pulse, pp.samples_per_pulse,
-                                t_now, si, step.annotation, wl_volts)
-            t_now += pp.t_pulse
-            for r in step.reads:
-                key = str(r.cell)
-                peak = peaks[key]
-                spike = peak > pp.i_spike
-                bit = 0 if spike else 1
-                if r.latch:
-                    registers[r.latch] = bit
-                read_records.append(ReadRecord(si, key, r.latch, spike, bit,
-                                               peak))
-        else:
-            # split window: read during the first half, then drive the
-            # forwarded value during the second
-            half = 0.5 * pp.t_pulse
-            half_samples = max(2, pp.samples_per_pulse // 2)
-            wl_volts, volt_of, wl_levels, _ = line_voltages({}, True)
-            peaks = pulse_cells(volt_of, half, half_samples,
-                                t_now, si, step.annotation, wl_volts)
-            forwards = {}
-            for r in step.reads:
-                key = str(r.cell)
-                peak = peaks[key]
-                spike = peak > pp.i_spike
-                bit = 0 if spike else 1
-                forwards[key] = bit
-                if r.latch:
-                    registers[r.latch] = bit
-                read_records.append(ReadRecord(si, key, r.latch, spike, bit,
-                                               peak))
-            wl_volts, volt_of, wl_levels, bl_levels = line_voltages(
-                forwards, False)
-            pulse_cells(volt_of, half, half_samples,
-                        t_now + half, si, step.annotation, wl_volts)
-            t_now += pp.t_pulse
-        t_now += pp.t_gap   # unbiased settle: no state motion
-        decoded = {key: str(decode_state(s, mid))
-                   for key, s in states.items()}
-        step_records.append(StepRecord(si, step.annotation, wl_levels,
-                                       bl_levels, decoded))
 
-    result = []
-    for c in p.result_cells:
-        key = str(c)
-        bit, spike, s_after = readout_cell("device", states[key], pp, ep)
-        states[key] = s_after
-        read_records.append(ReadRecord(len(p.steps), key, None, spike, bit,
-                                       None))
-        result.append(bit)
-    return ExecTrace("device", p.scheme, p.n, tuple(step_records),
-                     tuple(read_records), tuple(result),
-                     tuple(samples), tuple(sample_columns))
+def run_behavioral(p, a_bits, b_bits, c0=0):
+    """Execute on the one-bit state-machine array; returns an ExecTrace."""
+    steps, reads, result = _interpret(p, a_bits, b_bits, c0, _BitCells(p))
+    return ExecTrace("behavioral", p.scheme, p.n, steps, reads, result)
+
+
+def run_device(p, a_bits, b_bits, c0=0, pp=None, ep=None):
+    """Execute as pulse waveforms over ECM pairs; returns an ExecTrace."""
+    if pp is None or ep is None:
+        raise ExecutionError("device level needs pulse and cell parameters")
+    cells = _PairCells(p, pp, ep)
+    steps, reads, result = _interpret(p, a_bits, b_bits, c0, cells)
+    return ExecTrace("device", p.scheme, p.n, steps, reads, result,
+                     tuple(cells.samples), cells.columns)
 
 
 # ======================================================================

@@ -203,22 +203,6 @@ class Program:
         return len(self.used_cells)
 
 
-def pc_cycle_count(n):
-    return SCHEME_CYCLES["pc"](n)
-
-
-def pc_device_count(n):
-    return SCHEME_DEVICES["pc"](n)
-
-
-def tc_cycle_count(n):
-    return SCHEME_CYCLES["tc"](n)
-
-
-def tc_device_count(n):
-    return SCHEME_DEVICES["tc"](n)
-
-
 # ======================================================================
 # compilers
 # ======================================================================
@@ -373,12 +357,18 @@ def validate_program(p):
             if d.array in arrays_seen:
                 diags.append(f"step {si}: array {d.array} driven twice")
             arrays_seen.add(d.array)
+            if d.wl.kind == "read_fwd":
+                diags.append(f"step {si}: array {d.array} wordline carries a "
+                             f"forward; forwards drive bitlines only")
             covered = per_array_bls.get((d.array, d.wl_index), set())
             if covered and len(d.bls) <= max(covered):
                 diags.append(
                     f"step {si}: array {d.array} drive leaves used bitlines "
                     f"unassigned")
             for sig in (d.wl, *d.bls):
+                if sig.kind in _INDEXED_KINDS and sig.index >= p.n:
+                    diags.append(f"step {si}: signal {sig} out of range for "
+                                 f"n={p.n}")
                 if sig.kind == "read_fwd" and sig.source not in step_reads:
                     diags.append(
                         f"step {si}: forward from {sig.source} which is not "
@@ -500,8 +490,10 @@ def comparison_table(n):
         ComparisonRow("Lehtonen", 3 * n + 5, 88 * n + 48, True),
         ComparisonRow("Kvatinsky serial", 3 * n + 3, 29 * n, True),
         ComparisonRow("Kvatinsky parallel", 9 * n, 5 * n + 18, False),
-        ComparisonRow("PC adder", pc_device_count(n), pc_cycle_count(n), True),
-        ComparisonRow("TC adder", tc_device_count(n), tc_cycle_count(n), True),
+        ComparisonRow("PC adder", SCHEME_DEVICES["pc"](n),
+                      SCHEME_CYCLES["pc"](n), True),
+        ComparisonRow("TC adder", SCHEME_DEVICES["tc"](n),
+                      SCHEME_CYCLES["tc"](n), True),
     ]
 
 

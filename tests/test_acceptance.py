@@ -202,9 +202,28 @@ def test_criterion_11_cross_level_equivalence(request, behavioral_matrix):
         scheme, av, bv = key
         assert list(dev.result_bits) == add_oracle(_word(av, 2),
                                                    _word(bv, 2), 0)
+        # every step: decoded states, line levels and read verdicts
+        assert len(dev.steps) == len(beh.steps), key
+        for d, b in zip(dev.steps, beh.steps):
+            assert d.cell_states == {c: str(v)
+                                     for c, v in b.cell_states.items()}, \
+                (key, d.index)
+            assert (d.wl_levels, d.bl_levels) == (b.wl_levels, b.bl_levels), \
+                (key, d.index)
+        assert [_verdict(r) for r in _step_reads(dev)] \
+            == [_verdict(r) for r in _step_reads(beh)], key
     assert elapsed < BUDGET_CROSS_LEVEL_S
-    _report(11, "device-level results equal behavioral results for all "
-                f"16 pairs, both schemes ({elapsed:.0f} s)")
+    _report(11, "device-level results, per-step states, line levels and "
+                "read verdicts equal behavioral ones for all 16 pairs, "
+                f"both schemes ({elapsed:.0f} s)")
+
+
+def _step_reads(trace):
+    return [r for r in trace.reads if r.step_index < len(trace.steps)]
+
+
+def _verdict(r):
+    return (r.step_index, r.cell, r.latch, r.spike, r.bit)
 
 
 CELL_RE = re.compile(r"A(\d+)/(\d+)/(\d+)")

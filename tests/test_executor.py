@@ -1,5 +1,7 @@
 """Program execution at both fidelity levels, plus pulse calibration."""
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -13,9 +15,10 @@ from crsadder.executor import (
     CalibrationError,
     ExecutionError,
     PulseParams,
+    _BitCells,
+    _PairCells,
     calibrate_pulse,
     params_fingerprint,
-    readout_cell,
     run_behavioral,
     run_device,
     time_to_flip,
@@ -24,7 +27,12 @@ from crsadder.executor import (
     write_verdicts_json,
 )
 from crsadder.logic import int_to_word
-from crsadder.microcode import gen_pc_adder, gen_tc_adder
+from crsadder.microcode import (
+    gen_pc_adder,
+    gen_tc_adder,
+    input_a,
+    validate_program,
+)
 
 
 def bits(value, n):
@@ -107,7 +115,6 @@ def test_behavioral_operand_checks():
 
 
 def test_behavioral_rejects_register_before_latch():
-    import dataclasses
     p = gen_tc_adder(1)
     steps = list(p.steps)
     steps[3], steps[4] = steps[4], steps[3]
@@ -131,28 +138,83 @@ def test_behavioral_random_widths(n, data):
 # read-out primitive
 # ----------------------------------------------------------------------
 
+def _one_cell(backend, *args):
+    """A backend over the one-cell program's cell A0/0/0."""
+    return backend(gen_pc_adder(1), *args), "A0/0/0"
+
+
 def test_readout_behavioral_cases():
-    assert readout_cell("behavioral", 0) == (0, True, 1)
-    assert readout_cell("behavioral", 1) == (1, False, 1)
+    for stored, want in ((0, (0, True, 1)), (1, (1, False, 1))):
+        cells, key = _one_cell(_BitCells)
+        cells.state[key] = stored
+        bit, spike, _ = cells.read(key)
+        assert (bit, spike, cells.state[key]) == want
 
 
 def test_readout_device_cases(params, pulse):
-    bit0, spike0, after0 = readout_cell(
-        "device", crs_state_for_bit(0, params), pulse, params)
+    cells, key = _one_cell(_PairCells, pulse, params)
+    cells.states[key] = crs_state_for_bit(0, params)
+    bit0, spike0, _ = cells.read(key)
     assert (bit0, spike0) == (0, True)
-    assert decode_state(after0, params.gap_midpoint()) is CrsLogicState.ONE
+    assert decode_state(cells.states[key], params.gap_midpoint()) \
+        is CrsLogicState.ONE
 
-    bit1, spike1, after1 = readout_cell(
-        "device", crs_state_for_bit(1, params), pulse, params)
+    cells.states[key] = crs_state_for_bit(1, params)
+    bit1, spike1, _ = cells.read(key)
     assert (bit1, spike1) == (1, False)
-    assert decode_state(after1, params.gap_midpoint()) is CrsLogicState.ONE
+    assert decode_state(cells.states[key], params.gap_midpoint()) \
+        is CrsLogicState.ONE
 
 
 def test_readout_twice_always_one(params, pulse):
-    _, _, after = readout_cell("device", crs_state_for_bit(0, params),
-                               pulse, params)
-    bit, spike, _ = readout_cell("device", after, pulse, params)
+    cells, key = _one_cell(_PairCells, pulse, params)
+    cells.states[key] = crs_state_for_bit(0, params)
+    cells.read(key)
+    bit, spike, _ = cells.read(key)
     assert (bit, spike) == (1, False)
+
+
+def test_out_of_range_operand_index_is_rejected():
+    p = gen_pc_adder(2)
+    steps = list(p.steps)
+    si = next(i for i, s in enumerate(steps) if s.annotation == "carry")
+    d = steps[si].drives[0]
+    steps[si] = dataclasses.replace(
+        steps[si], drives=(dataclasses.replace(d, wl=input_a(5)),
+                           *steps[si].drives[1:]))
+    broken = dataclasses.replace(p, steps=tuple(steps))
+    assert any("a:5" in msg and "out of range" in msg
+               for msg in validate_program(broken))
+    with pytest.raises(ExecutionError):
+        run_behavioral(broken, [1, 0], [1, 0], 0)
+
+
+# SHA-256 of (states CSV, verdicts JSON) of run_behavioral at n=4 on
+# a = 1101, b = 0110 (bits LSB first below), recorded before the two
+# levels shared one interpreter; the files must not change
+GOLDEN_N4 = {
+    ("pc", False): ("be9cb4fe5bdf8ace7f925667ecdd794a10b61cc1bfca40fe711562d669efbbf4",
+                    "c85421a90eca164adeb49a442ac794a22f281e7b889e4c6d3a0778f81a82644d"),
+    ("pc", True): ("20128fb0a9dc112b2177525497026b6310b6f14f56288981ebd71d96aeed3da1",
+                   "9f27d001ab32607a934e732c81e32266c1bcde2695dcdae122660f265419924b"),
+    ("tc", False): ("99cca64ab11db8f879293dd29d6f0a85399fa00a09165cf52e6f01b1b1f4570c",
+                    "0884cd8db4a2957724ebc2fc46e7cc907d0333d07b74cefdb9f164ada1b42b0c"),
+    ("tc", True): ("83493c5137fae25f0d61e1400a27447ed1a01f4752b05b7113ee7f1dca759571",
+                   "d889497ccf00df3c3aae446b5c7ffe9390aea01359a562add88470c478cc25dc"),
+}
+
+
+@pytest.mark.parametrize("scheme,subtract", sorted(GOLDEN_N4))
+def test_behavioral_artifacts_golden(tmp_path, scheme, subtract):
+    gen = {"pc": gen_pc_adder, "tc": gen_tc_adder}[scheme]
+    tr = run_behavioral(gen(4, subtract=subtract), [1, 0, 1, 1],
+                        [0, 1, 1, 0], 0)
+    states, verdicts = tmp_path / "states.csv", tmp_path / "verdicts.json"
+    write_states_csv(tr, states)
+    write_verdicts_json(tr, verdicts)
+    digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest()
+                    for f in (states, verdicts))
+    assert digests == GOLDEN_N4[(scheme, subtract)]
 
 
 # ----------------------------------------------------------------------

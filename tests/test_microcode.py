@@ -12,6 +12,8 @@ from crsadder.microcode import (
     CONST0,
     CONST1,
     GROUND,
+    SCHEME_CYCLES,
+    SCHEME_DEVICES,
     CellAddr,
     Signal,
     comparison_csv,
@@ -22,15 +24,11 @@ from crsadder.microcode import (
     input_a,
     input_b,
     not_b,
-    pc_cycle_count,
-    pc_device_count,
     program_from_json,
     program_to_json,
     read_forward,
     reg,
     render_step_table,
-    tc_cycle_count,
-    tc_device_count,
     validate_program,
 )
 
@@ -82,10 +80,10 @@ def test_signal_validation():
 def test_cycle_and_device_formulas(n):
     pc = gen_pc_adder(n)
     tc = gen_tc_adder(n)
-    assert len(pc.steps) == pc_cycle_count(n) == 2 * (n + 1) + 2
-    assert len(tc.steps) == tc_cycle_count(n) == 4 * n + 5
-    assert len(pc.used_cells) == pc_device_count(n) == 2 * (n + 1)
-    assert len(tc.used_cells) == tc_device_count(n) == n + 2
+    assert len(pc.steps) == SCHEME_CYCLES["pc"](n) == 2 * (n + 1) + 2
+    assert len(tc.steps) == SCHEME_CYCLES["tc"](n) == 4 * n + 5
+    assert len(pc.used_cells) == SCHEME_DEVICES["pc"](n) == 2 * (n + 1)
+    assert len(tc.used_cells) == SCHEME_DEVICES["tc"](n) == n + 2
     assert pc.cycle_count == len(pc.steps)
     assert tc.device_count == len(tc.used_cells)
 
@@ -273,6 +271,19 @@ def test_validation_flags_unread_forward():
     steps[idx] = broken_step
     diags = validate_program(dataclasses.replace(p, steps=tuple(steps)))
     assert any("forward" in d or "read" in d for d in diags)
+
+
+def test_validation_flags_wordline_forward():
+    p = gen_pc_adder(1)
+    idx = next(i for i, s in enumerate(p.steps) if s.annotation == "sum2")
+    step = p.steps[idx]
+    drives = (dataclasses.replace(step.drives[0],
+                                  wl=read_forward(step.reads[0].cell)),
+              *step.drives[1:])
+    steps = list(p.steps)
+    steps[idx] = dataclasses.replace(step, drives=drives)
+    diags = validate_program(dataclasses.replace(p, steps=tuple(steps)))
+    assert any("wordline carries a forward" in d for d in diags)
 
 
 # ----------------------------------------------------------------------
