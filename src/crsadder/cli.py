@@ -40,11 +40,12 @@ from .executor import (
     CalibrationError,
     ExecutionError,
     PulseParams,
-    _fmt,
     calibrate_pulse,
     params_fingerprint,
     run_behavioral,
     run_device,
+    write_csv,
+    write_json,
     write_states_csv,
     write_trace_csv,
     write_verdicts_json,
@@ -80,11 +81,6 @@ def _outpath(args, name):
     return os.path.join(args.out, name)
 
 
-def _write_json(path, doc):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 # ----------------------------------------------------------------------
 # sweep
 # ----------------------------------------------------------------------
@@ -94,31 +90,27 @@ def cmd_sweep(args):
     landmarks = {"v_set": None, "v_reset": None, "v_th1": None,
                  "v_th2": None, "v_th3": None, "v_th4": None}
     if args.device == "unit":
-        amplitude = args.amplitude if args.amplitude else DEFAULT_UNIT_AMPLITUDE
+        amplitude = (DEFAULT_UNIT_AMPLITUDE if args.amplitude is None
+                     else args.amplitude)
         rows = sweep_iv_unit(amplitude, args.rate, EcmState(p.l), p,
                              n_samples=args.samples)
         v_set, v_reset = extract_unit_landmarks(rows, p)
         landmarks["v_set"] = v_set
         landmarks["v_reset"] = v_reset
         csv_path = _outpath(args, "unit_iv.csv")
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("v_volts,i_amps,x_meters\n")
-            for v, i, x in rows:
-                fh.write(f"{_fmt(v)},{_fmt(i)},{_fmt(x)}\n")
+        write_csv(csv_path, ("v_volts", "i_amps", "x_meters"), rows)
     else:
-        amplitude = args.amplitude if args.amplitude else DEFAULT_CRS_AMPLITUDE
+        amplitude = (DEFAULT_CRS_AMPLITUDE if args.amplitude is None
+                     else args.amplitude)
         rows, th = sweep_iv_crs(amplitude, args.rate, crs_state_for_bit(0, p),
                                 p, n_samples=args.samples, frac=args.frac)
         landmarks.update({"v_th1": th.v_th1, "v_th2": th.v_th2,
                           "v_th3": th.v_th3, "v_th4": th.v_th4})
         csv_path = _outpath(args, "crs_iv.csv")
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("v_volts,i_amps,x_top_meters,x_bottom_meters,"
-                     "logic_state\n")
-            for v, i, xt, xb, lab in rows:
-                fh.write(f"{_fmt(v)},{_fmt(i)},{_fmt(xt)},{_fmt(xb)},{lab}\n")
+        write_csv(csv_path, ("v_volts", "i_amps", "x_top_meters",
+                             "x_bottom_meters", "logic_state"), rows)
     lm_path = _outpath(args, "landmarks.json")
-    _write_json(lm_path, landmarks)
+    write_json(lm_path, landmarks)
     present = {k: v for k, v in landmarks.items() if v is not None}
     print(f"wrote {csv_path} and {lm_path}")
     print("landmarks: " + (", ".join(f"{k}={v:.4g} V"
@@ -155,7 +147,7 @@ def _calibrated_pulse(args, p, reuse=True):
                 and doc.get("target_margin") == args.margin):
             return _pulse_from_sidecar(doc), path, True
     pp = calibrate_pulse(p, target_margin=args.margin, v_seed=args.v_seed)
-    _write_json(path, {
+    write_json(path, {
         "params_fingerprint": fp,
         "target_margin": args.margin,
         "v_w": pp.v_w,

@@ -31,12 +31,9 @@ import math
 from dataclasses import dataclass
 
 from .ecm import (
-    EcmParams,
     EcmState,
+    march,
     solve_cell_dc,
-    state_derivative,
-    _implicit_substep,
-    _rail_masked_rate,
     _triangle_sweep,
 )
 
@@ -206,9 +203,10 @@ def series_current(v_applied, s, p):
 # ======================================================================
 
 CRS_MOTION_LIMIT = 0.02   # max per-substep gap motion, fraction of span
+PULSE_SUBSTEPS = 200      # a pulse's substeps are at most t_pulse / this
 
 
-def step_crs_transient(s, v_applied, dt, p, max_dt=None):
+def step_crs_transient(s, v_applied, dt, p):
     """Advance the pair by dt with v_applied split +v/2 on wl, -v/2 on bl.
 
     Semi-implicit scheme: the divider is re-solved at the current gaps,
@@ -216,64 +214,49 @@ def step_crs_transient(s, v_applied, dt, p, max_dt=None):
     voltage.  Substeps shrink whenever either gap would move more than
     CRS_MOTION_LIMIT of the span.
     """
-    state, _, _ = _march_crs(s, v_applied, dt, p, max_dt, None, 0.0)
-    return state
+    return _march_crs(s, v_applied, dt, p, None)[0]
 
 
-def crs_pulse(s, v_applied, t_pulse, p, n_samples=60, max_dt=None):
+def crs_pulse(s, v_applied, t_pulse, p, n_samples=60):
     """Apply one rectangular pulse; record the current waveform.
 
     Returns (state_after, peak_abs_current, samples); samples are
     (t, v_m, j_series, x_top, x_bottom) rows, n_samples of them spread
     evenly over the pulse.
     """
-    if max_dt is None:
-        max_dt = t_pulse / 200.0
+    v_w, v_b = 0.5 * v_applied, -0.5 * v_applied
+    max_dt = t_pulse / PULSE_SUBSTEPS
     samples = []
     state = s
     peak = 0.0
     t = 0.0
     sample_dt = t_pulse / n_samples
     for _ in range(n_samples):
-        state, pk, row = _march_crs(state, v_applied, sample_dt, p,
-                                    max_dt, t, peak)
-        peak = pk
-        samples.append(row)
+        state, pk, vm = _march_crs(state, v_applied, sample_dt, p, max_dt)
+        # sample row at the end of the marched interval
+        vm, j, _, _ = solve_crs_divider(v_w, v_b, state.top.x,
+                                        state.bottom.x, p, vm_guess=vm)
+        peak = max(peak, pk, abs(j))
         t += sample_dt
+        samples.append((t, vm, j, state.top.x, state.bottom.x))
     return state, peak, samples
 
 
-def _march_crs(s, v_applied, dt, p, max_dt, t0, peak_in):
+def _march_crs(s, v_applied, dt, p, max_dt):
+    """Two-cell march on the divider's cell solutions; returns
+    (state, peak |j| over the substeps, last v_m)."""
     v_w, v_b = 0.5 * v_applied, -0.5 * v_applied
-    x_t, x_b = s.top.x, s.bottom.x
-    span = p.l - p.x_min
-    vm = None
-    peak = peak_in
-    remaining = dt
-    while remaining > 0.0:
-        sub = min(remaining, max_dt) if max_dt else remaining
-        vm, j, sol_t, sol_b = solve_crs_divider(v_w, v_b, x_t, x_b, p,
-                                                vm_guess=vm)
-        if abs(j) > peak:
-            peak = abs(j)
-        rate_t = _rail_masked_rate(state_derivative(sol_t.i_ion, p), x_t, p)
-        rate_b = _rail_masked_rate(state_derivative(sol_b.i_ion, p), x_b, p)
-        worst = max(abs(rate_t), abs(rate_b))
-        if worst == 0.0:
-            break   # both cells pinned or unbiased: divider is static
-        if worst * sub > CRS_MOTION_LIMIT * span:
-            sub = CRS_MOTION_LIMIT * span / worst
-        x_t = _implicit_substep(x_t, vm - v_w, sub, p)
-        x_b = _implicit_substep(x_b, vm - v_b, sub, p)
-        remaining -= sub
-    state = CrsDeviceState(EcmState(x_t), EcmState(x_b))
-    if t0 is None:
-        return state, peak, None
-    # sample row at the end of the marched interval
-    vm, j, _, _ = solve_crs_divider(v_w, v_b, x_t, x_b, p, vm_guess=vm)
-    if abs(j) > peak:
-        peak = abs(j)
-    return state, peak, (t0 + dt, vm, j, x_t, x_b)
+    vm, peak = None, 0.0
+
+    def solve(xs):
+        nonlocal vm, peak
+        vm, j, sol_t, sol_b = solve_crs_divider(v_w, v_b, *xs, p, vm_guess=vm)
+        peak = max(peak, abs(j))
+        return sol_t, sol_b
+
+    x_t, x_b = march((s.top.x, s.bottom.x), solve, dt, p, max_dt,
+                     CRS_MOTION_LIMIT)
+    return CrsDeviceState(EcmState(x_t), EcmState(x_b)), peak, vm
 
 
 # ======================================================================
@@ -299,7 +282,7 @@ def sweep_iv_crs(amplitude, rate, s0, p, n_samples=1200, frac=0.5):
 
     rows = _triangle_sweep(
         amplitude, rate, s0, n_samples,
-        lambda s, v, dt: step_crs_transient(s, v, dt, p, max_dt=dt), sample)
+        lambda s, v, dt: step_crs_transient(s, v, dt, p), sample)
     th = _extract_thresholds(rows, frac)
     missing = [name for name in ("v_th1", "v_th2", "v_th3", "v_th4")
                if getattr(th, name) is None]

@@ -120,7 +120,6 @@ class CellSolution:
     i_total: float    # terminal current, A
     r_ion: float      # ohm
     r_fil: float      # ohm
-    kcl_residual: float   # node current mismatch, A (zero by construction)
     kvl_residual: float   # loop voltage mismatch, V
 
 
@@ -244,7 +243,7 @@ def solve_cell_dc(v_cell, x, p, eta_guess=None):
     r_ion, r_fil = resistances(x, p)
     if v_cell == 0.0:
         return CellSolution(0.0, x, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-                            r_ion, r_fil, 0.0, 0.0)
+                            r_ion, r_fil, 0.0)
     sign = 1 if v_cell > 0 else -1
     r_ser = p.r_el + r_fil
     g_tu = tunnel_conductance(x, p)
@@ -276,8 +275,7 @@ def solve_cell_dc(v_cell, x, p, eta_guess=None):
         resid, dresid, i_ion, eta2, v_tu, i_tot = evaluate(eta)
         if abs(resid) <= tol:
             return CellSolution(v_cell, x, eta, eta2, v_tu, i_ion,
-                                g_tu * v_tu, i_tot, r_ion, r_fil,
-                                0.0, resid)
+                                g_tu * v_tu, i_tot, r_ion, r_fil, resid)
         if resid > 0:
             lo = eta    # resid decreases with eta1: root lies above
         else:
@@ -292,7 +290,7 @@ def solve_cell_dc(v_cell, x, p, eta_guess=None):
     if abs(resid) <= 1e3 * tol:
         # float-limited but physically converged
         return CellSolution(v_cell, x, eta, eta2, v_tu, i_ion,
-                            g_tu * v_tu, i_tot, r_ion, r_fil, 0.0, resid)
+                            g_tu * v_tu, i_tot, r_ion, r_fil, resid)
     raise ConvergenceError(
         f"DC solve stalled at v_cell={v_cell:.6g} V, x={x:.6g} m", resid)
 
@@ -304,15 +302,6 @@ def solve_cell_dc(v_cell, x, p, eta_guess=None):
 MOTION_LIMIT = 0.05   # max gap motion per implicit substep, fraction of span
 
 
-def _clamp(x, p):
-    return min(max(x, p.x_min), p.l)
-
-
-def _velocity(v_cell, x, p, eta_guess=None):
-    sol = solve_cell_dc(v_cell, x, p, eta_guess=eta_guess)
-    return state_derivative(sol.i_ion, p), sol.eta1
-
-
 def _rail_masked_rate(rate, x, p):
     """Zero out velocity pushing the gap further into a rail it sits at."""
     if rate > 0.0 and x >= p.l:
@@ -322,25 +311,27 @@ def _rail_masked_rate(rate, x, p):
     return rate
 
 
-def _implicit_substep(x, v_cell, dt, p):
-    """One backward-Euler substep: solve y = x + dt*f(y) with clamping.
+def _implicit_substep(sol, dt, p):
+    """One backward-Euler substep from the DC solution sol at the cell's
+    current gap: solve y = x + dt*f(y) with clamping, f at sol.v_cell.
 
     f keeps the sign of v_cell, so the root is bracketed on one side of
     x; a secant iteration refined inside the bracket does the work, with
     bisection as fallback.
     """
+    x, v_cell = sol.x, sol.v_cell
     if v_cell == 0.0:
         return x
-    eta = None
-    rate, eta = _velocity(v_cell, x, p)
+    rate, eta = state_derivative(sol.i_ion, p), sol.eta1
     if _rail_masked_rate(rate, x, p) == 0.0:
         return x
     lo, hi = (p.x_min, x) if rate < 0.0 else (x, p.l)
 
     def g(y):
         nonlocal eta
-        r, eta = _velocity(v_cell, y, p, eta_guess=eta)
-        return y - x - dt * r
+        s = solve_cell_dc(v_cell, y, p, eta_guess=eta)
+        eta = s.eta1
+        return y - x - dt * state_derivative(s.i_ion, p)
 
     g_lo = g(lo)
     g_hi = g(hi)
@@ -371,29 +362,40 @@ def _implicit_substep(x, v_cell, dt, p):
     return 0.5 * (a + b)
 
 
-def step_transient(s, v_cell, dt, p, max_dt=None):
-    """Advance one cell by dt under constant applied voltage.
+def march(xs, solve, dt, p, max_dt, limit):
+    """Advance the gaps xs of coupled cells by dt; the one substep loop.
 
-    Implicit first-order substeps; the substep size is capped by max_dt
-    and by the largest interval keeping the explicit motion estimate
-    under MOTION_LIMIT of the full span (rates pinning the gap against
-    a rail are ignored, the clamp absorbs them).
+    Each substep starts from solve(xs), one CellSolution per cell at its
+    current gap, and moves every cell by one backward-Euler substep at
+    its frozen cell voltage.  The substep is capped by max_dt (None: no
+    cap) and by the largest interval keeping the explicit motion
+    estimate of every cell under limit of the full span (rates pinning
+    a gap against a rail are ignored, the clamp absorbs them).
     """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    x = _clamp(s.x, p)
+    if not dt > 0:
+        raise ValueError(f"dt must be > 0, got {dt!r}")
     span = p.l - p.x_min
     remaining = dt
     while remaining > 0.0:
         sub = min(remaining, max_dt) if max_dt else remaining
-        rate, _ = _velocity(v_cell, x, p)
-        rate = _rail_masked_rate(rate, x, p)
-        if rate == 0.0:
-            break   # clamped or unbiased: nothing moves for any dt
-        if abs(rate) * sub > MOTION_LIMIT * span:
-            sub = MOTION_LIMIT * span / abs(rate)
-        x = _implicit_substep(x, v_cell, sub, p)
+        sols = solve(xs)
+        worst = max(abs(_rail_masked_rate(state_derivative(s.i_ion, p), s.x, p))
+                    for s in sols)
+        if worst == 0.0:
+            break   # every cell clamped or unbiased: nothing moves for any dt
+        if worst * sub > limit * span:
+            sub = limit * span / worst
+        xs = tuple(_implicit_substep(s, sub, p) for s in sols)
         remaining -= sub
+    return xs
+
+
+def step_transient(s, v_cell, dt, p):
+    """Advance one cell by dt under constant applied voltage: a one-cell
+    march with MOTION_LIMIT from the gap clamped into [x_min, l]."""
+    x0 = min(max(s.x, p.x_min), p.l)
+    (x,) = march((x0,), lambda xs: (solve_cell_dc(v_cell, xs[0], p),),
+                 dt, p, None, MOTION_LIMIT)
     return EcmState(x)
 
 
@@ -422,6 +424,8 @@ def _triangle_sweep(amplitude, rate, s0, n_samples, advance, sample):
     each interval at the interval's end voltage."""
     if amplitude <= 0 or rate <= 0:
         raise ValueError("amplitude and rate must be > 0")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     total = 4.0 * amplitude / rate
     state = s0
     rows = []
@@ -444,7 +448,7 @@ def sweep_iv_unit(amplitude, rate, s0, p, n_samples=1500):
     """
     return _triangle_sweep(
         amplitude, rate, s0, n_samples,
-        lambda s, v, dt: step_transient(s, v, dt, p, max_dt=dt),
+        lambda s, v, dt: step_transient(s, v, dt, p),
         lambda v, s: (v, solve_cell_dc(v, s.x, p).i_total, s.x))
 
 

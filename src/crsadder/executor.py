@@ -34,6 +34,7 @@ from .crs import (
     crs_state_for_bit,
     decode_state,
     fsm_next,
+    step_crs_transient,
 )
 from .ecm import EcmParams, params_text
 from .logic import word_to_str
@@ -340,13 +341,12 @@ def run_device(p, a_bits, b_bits, c0=0, pp=None, ep=None):
 
 def time_to_flip(v_apply, ep, t_limit=10.0):
     """Time for a ZERO pair to decode as ONE under constant v_apply."""
-    from .crs import step_crs_transient
     s = crs_state_for_bit(0, ep)
     mid = ep.gap_midpoint()
     t = 0.0
     dt = 1e-8
     while t < t_limit:
-        s = step_crs_transient(s, v_apply, dt, ep, max_dt=dt)
+        s = step_crs_transient(s, v_apply, dt, ep)
         t += dt
         if decode_state(s, mid) is CrsLogicState.ONE:
             return t
@@ -385,8 +385,9 @@ def calibrate_pulse(ep, target_margin=100.0, v_seed=2.6, t_gap=0.0,
       * the spike/no-spike read peaks are separated by target_margin^2
         so the geometric-mean threshold keeps target_margin both ways.
     """
-    if target_margin <= 1.0:
-        raise ValueError("target_margin must exceed 1")
+    if not 1.0 < target_margin < math.inf:
+        raise ValueError(f"target_margin must be finite and exceed 1, "
+                         f"got {target_margin!r}")
     attempts = []
     v_w = v_seed
     for _ in range(6):
@@ -431,32 +432,37 @@ def _fmt(x):
     return f"{x:.16e}" if isinstance(x, float) else str(x)
 
 
+def write_csv(path, columns, rows):
+    """Header line, then one line per row; floats in 17-digit notation."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(x) for x in row) + "\n")
+
+
+def write_json(path, doc):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def write_trace_csv(trace, path):
     """Device waveforms: one row per sample instant."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(trace.sample_columns) + "\n")
-        for row in trace.samples:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    write_csv(path, trace.sample_columns, trace.samples)
 
 
 def write_states_csv(trace, path):
     """Per-step cell states (behavioral bits or decoded device states)."""
     cells = sorted(trace.steps[0].cell_states) if trace.steps else []
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("step_index,annotation," + ",".join(cells) + "\n")
-        for rec in trace.steps:
-            fh.write(",".join([str(rec.index), rec.annotation]
-                              + [str(rec.cell_states[c]) for c in cells])
-                     + "\n")
+    write_csv(path, ["step_index", "annotation", *cells],
+              ([rec.index, rec.annotation, *(rec.cell_states[c] for c in cells)]
+               for rec in trace.steps))
 
 
 def write_verdicts_json(trace, path):
-    doc = [{"step": r.step_index, "cell": r.cell, "latch": r.latch,
-            "spike": r.spike, "bit": r.bit,
-            "peak_current_a": r.peak_current}
-           for r in trace.reads]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, [{"step": r.step_index, "cell": r.cell, "latch": r.latch,
+                       "spike": r.spike, "bit": r.bit,
+                       "peak_current_a": r.peak_current}
+                      for r in trace.reads])
 
 
 def params_fingerprint(ep):

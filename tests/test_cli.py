@@ -159,6 +159,22 @@ def test_sweep_crs_subthreshold_is_solver_failure(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("device,option,value", [
+    ("unit", "--samples", "0"),
+    ("unit", "--samples", "-3"),
+    ("crs", "--samples", "0"),
+    ("unit", "--amplitude", "0"),
+    ("crs", "--amplitude", "0"),
+])
+def test_sweep_bad_arguments_are_usage_errors(tmp_path, capsys, device,
+                                              option, value):
+    rc = run_cli("--out", str(tmp_path), "sweep", "--device", device,
+                 option, value)
+    assert rc == 2
+    assert "error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_determinism(tmp_path):
     d1, d2 = tmp_path / "one", tmp_path / "two"
     for d in (d1, d2):
@@ -223,6 +239,14 @@ def test_calibrate_recalibrates_for_another_margin(tmp_path, capsys,
     assert rc == 0
     assert "wrote" in capsys.readouterr().out
     assert json.loads(sidecar.read_text())["target_margin"] == 50.0
+
+
+@pytest.mark.parametrize("margin", ["nan", "inf"])
+def test_calibrate_rejects_non_finite_margin(tmp_path, capsys, margin):
+    rc = run_cli("--out", str(tmp_path), "calibrate", "--margin", margin)
+    assert rc == 2
+    assert "target_margin" in capsys.readouterr().err
+    assert list(tmp_path.glob("calibration-*.json")) == []
 
 
 def test_adder_device_uses_sidecar(tmp_path, capsys, params, pulse):

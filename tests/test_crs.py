@@ -169,6 +169,15 @@ def test_half_select_holds_state(bit, sign):
     assert drift < SPAN / 100.0
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-6])
+def test_pair_transient_requires_positive_duration(dt):
+    s0 = crs_state_for_bit(0, P)
+    with pytest.raises(ValueError):
+        step_crs_transient(s0, V_W, dt, P)
+    with pytest.raises(ValueError):
+        crs_pulse(s0, V_W, dt, P, n_samples=4)
+
+
 @given(v=st.floats(-1.0, 1.0), dt=st.floats(1e-8, 1e-4))
 @settings(max_examples=20)
 def test_pair_gaps_stay_clamped(v, dt):

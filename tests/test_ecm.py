@@ -5,6 +5,7 @@ evaluation plus the nested-bisection circuit solve), computed before
 the package implementation existed.
 """
 
+import hashlib
 import math
 
 import pytest
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 import oracles
 from crsadder.ecm import (
+    DEFAULT_SWEEP_RATE,
+    DEFAULT_UNIT_AMPLITUDE,
     ConvergenceError,
     EcmParams,
     EcmState,
@@ -222,6 +225,19 @@ def test_transient_requires_positive_dt():
 # quasi-static sweep
 # ----------------------------------------------------------------------
 
+# SHA-256 of repr(rows) of the default-cell sweep at 300 samples,
+# recorded before the two transient integrators shared one controller
+GOLD_UNIT_SWEEP_300 = (
+    "674a68ba1167405dd52898cc49ad000a5c16e3fe8747ff11f14f2583bfb0cd4e")
+
+
+def test_sweep_rows_golden():
+    rows = sweep_iv_unit(DEFAULT_UNIT_AMPLITUDE, DEFAULT_SWEEP_RATE,
+                         EcmState(P.l), P, n_samples=300)
+    digest = hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
+    assert digest == GOLD_UNIT_SWEEP_300
+
+
 def test_sweep_landmarks_default():
     rows = sweep_iv_unit(1.5, 2.0, EcmState(P.l), P)
     v_set, v_reset = extract_unit_landmarks(rows, P)
@@ -256,6 +272,8 @@ def test_sweep_rejects_bad_arguments():
         sweep_iv_unit(0.0, 1.0, EcmState(P.l), P)
     with pytest.raises(ValueError):
         sweep_iv_unit(1.5, -1.0, EcmState(P.l), P)
+    with pytest.raises(ValueError):
+        sweep_iv_unit(1.5, 2.0, EcmState(P.l), P, n_samples=0)
 
 
 # ----------------------------------------------------------------------
