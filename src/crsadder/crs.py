@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .ecm import (
+    ConvergenceError,
     EcmState,
     march,
     solve_cell_dc,
@@ -126,69 +127,65 @@ def decode_state(s, gap_threshold):
 # voltage divider over the two cells
 # ======================================================================
 
+DIVIDER_KCL_TOL = 1e-12   # relative node-current tolerance of the divider
+
+
 def solve_crs_divider(v_w, v_b, x_top, x_bot, p, vm_guess=None):
     """Middle-node voltage and branch solutions of the loaded pair.
 
     Cell voltages are measured from the middle node outward: the top
     cell sees v_m - v_w, the bottom v_m - v_b, which realizes the
-    anti-serial orientation.  The node residual i_top + i_bot is
-    strictly increasing in v_m, so the unique root lies between the two
-    line voltages; a bracketed secant finds it.
+    anti-serial orientation.  The unknown is the voltage u across the
+    lower-gap (low-ohmic) cell; the other cell sees u plus the line
+    difference, and v_m is the low cell's line voltage plus u.  In
+    stored and half-select states v_m sits next to a line, where forming
+    v_m minus that line would cancel the low cell's small drop; u keeps
+    it at full precision.  The node current i_top + i_bot strictly
+    increases with u and changes sign between u = 0 and u = -(line
+    difference), so Newton steps on the summed cell conductances are
+    taken inside that bracket, with bisection when a step leaves it.
 
     Returns (v_m, j_series, sol_top, sol_bot) where j_series is the
-    current flowing from wl to bl (equals the bottom cell current).
+    current flowing from wl to bl (equals the bottom cell current), with
+    |i_top + i_bot| <= DIVIDER_KCL_TOL * max(|i_top|, |i_bot|); raises
+    ConvergenceError when the bracket is exhausted first.
     """
     if v_w == v_b:
         sol_t = solve_cell_dc(0.0, x_top, p)
         sol_b = solve_cell_dc(0.0, x_bot, p)
         return v_w, 0.0, sol_t, sol_b
-    lo, hi = min(v_w, v_b), max(v_w, v_b)
-
-    def node_current(v_m):
-        st = solve_cell_dc(v_m - v_w, x_top, p)
-        sb = solve_cell_dc(v_m - v_b, x_bot, p)
-        return st.i_total + sb.i_total, st, sb
-
-    g_lo, sol_t, sol_b = node_current(lo)
-    if g_lo >= 0.0:
-        return lo, sol_b.i_total, sol_t, sol_b
-    g_hi, st_hi, sb_hi = node_current(hi)
-    if g_hi <= 0.0:
-        return hi, sb_hi.i_total, st_hi, sb_hi
-
-    a, b, ga, gb = lo, hi, g_lo, g_hi
-    v = vm_guess if (vm_guess is not None and a < vm_guess < b) \
-        else 0.5 * (a + b)
-    best = None
-    side = 0
-    for _ in range(200):
-        g, st, sb = node_current(v)
-        scale = max(abs(st.i_total), abs(sb.i_total), 1e-30)
-        if best is None or abs(g) < best[0]:
-            best = (abs(g), v, sb.i_total, st, sb)
-        if abs(g) <= 1e-12 * scale:
-            return v, sb.i_total, st, sb
-        # Illinois update: when the same endpoint moves twice in a row,
-        # halve the retained side's value, otherwise false position
-        # stagnates against the exponentially larger far endpoint
-        if g < 0.0:
-            if side == -1:
-                gb *= 0.5
-            a, ga, side = v, g, -1
+    top_low = x_top <= x_bot
+    # u is the voltage across the low cell, u + diff across the far one
+    if top_low:
+        v_low, x_low, x_far, diff = v_w, x_top, x_bot, v_w - v_b
+    else:
+        v_low, x_low, x_far, diff = v_b, x_bot, x_top, v_b - v_w
+    lo, hi = sorted((0.0, -diff))
+    u = vm_guess - v_low if vm_guess is not None else 0.5 * (lo + hi)
+    if not lo < u < hi:
+        u = 0.5 * (lo + hi)
+    for _ in range(100):
+        s_low = solve_cell_dc(u, x_low, p)
+        s_far = solve_cell_dc(u + diff, x_far, p)
+        i_low, i_far = s_low.i_total, s_far.i_total
+        f = i_low + i_far
+        if abs(f) <= DIVIDER_KCL_TOL * max(abs(i_low), abs(i_far)):
+            st, sb = (s_low, s_far) if top_low else (s_far, s_low)
+            return v_low + u, sb.i_total, st, sb
+        if f < 0.0:
+            lo = u
         else:
-            if side == 1:
-                ga *= 0.5
-            b, gb, side = v, g, 1
-        denom = gb - ga
-        v_new = (a * gb - b * ga) / denom if denom != 0.0 else 0.5 * (a + b)
-        if not (a < v_new < b):
-            v_new = 0.5 * (a + b)
-        if v_new == v or b - a <= 4.0 * math.ulp(max(abs(a), abs(b))):
+            hi = u
+        g = s_low.g_diff + s_far.g_diff
+        u_new = u - f / g if g > 0.0 else math.nan
+        if not lo < u_new < hi:   # also catches a non-finite step
+            u_new = 0.5 * (lo + hi)
+        if u_new == u:
             break
-        v = v_new
-    # bracket collapsed to float resolution; accept the best point seen
-    _, v, j, st, sb = best
-    return v, j, st, sb
+        u = u_new
+    raise ConvergenceError(
+        f"divider missed KCL at v_w={v_w:.6g} V, v_b={v_b:.6g} V, "
+        f"x_top={x_top:.6g} m, x_bot={x_bot:.6g} m", f)
 
 
 def series_current(v_applied, s, p):
@@ -224,6 +221,8 @@ def crs_pulse(s, v_applied, t_pulse, p, n_samples=60):
     (t, v_m, j_series, x_top, x_bottom) rows, n_samples of them spread
     evenly over the pulse.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
     v_w, v_b = 0.5 * v_applied, -0.5 * v_applied
     max_dt = t_pulse / PULSE_SUBSTEPS
     samples = []
@@ -275,6 +274,9 @@ def sweep_iv_crs(amplitude, rate, s0, p, n_samples=1200, frac=0.5):
     an amplitude too small to produce a conduction event on both
     branches raises ThresholdExtractionError.
     """
+    if not 0.0 < frac < 1.0:
+        raise ValueError(f"frac must lie in (0, 1), got {frac!r}")
+
     def sample(v, s):
         cls = classify(s.top.x, s.bottom.x, p.gap_midpoint())
         return (v, series_current(v, s, p), s.top.x, s.bottom.x,

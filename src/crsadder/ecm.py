@@ -121,6 +121,7 @@ class CellSolution:
     r_ion: float      # ohm
     r_fil: float      # ohm
     kvl_residual: float   # loop voltage mismatch, V
+    g_diff: float     # differential conductance dI/dV, S
 
 
 PARAM_KEYS = tuple(f.name for f in fields(EcmParams))
@@ -241,10 +242,7 @@ def solve_cell_dc(v_cell, x, p, eta_guess=None):
     if not math.isfinite(v_cell):
         raise ValueError(f"v_cell must be finite, got {v_cell!r}")
     r_ion, r_fil = resistances(x, p)
-    if v_cell == 0.0:
-        return CellSolution(0.0, x, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-                            r_ion, r_fil, 0.0)
-    sign = 1 if v_cell > 0 else -1
+    sign = -1 if v_cell < 0 else 1
     r_ser = p.r_el + r_fil
     g_tu = tunnel_conductance(x, p)
 
@@ -260,22 +258,23 @@ def solve_cell_dc(v_cell, x, p, eta_guess=None):
         else:
             di = p._j0a * p._beta_c * math.exp(-p._beta_c * eta1)
         dvtu = 1.0 + (r_ion + _d_eta2_d_i(i_ion, sign, p)) * di
-        dresid = -(di + g_tu * dvtu) * r_ser - dvtu
-        return resid, dresid, i_ion, eta2, v_tu, i_tot
+        di_tot = di + g_tu * dvtu    # dI/d(eta1)
+        return resid, -di_tot * r_ser - dvtu, i_ion, eta2, v_tu, i_tot, di_tot
 
-    # resid is strictly decreasing in eta1; bracket is [0, v] (or [v, 0])
+    # resid is strictly decreasing in eta1; bracket is [0, v] (or [v, 0]).
+    # Zero bias solves exactly at eta1 = 0 on the forward branch, whose
+    # conductance there equals the reverse branch's, so g_diff is
+    # continuous through v_cell = 0.
     lo, hi = (0.0, v_cell) if sign > 0 else (v_cell, 0.0)
     eta = eta_guess if (eta_guess is not None and lo < eta_guess < hi) \
         else 0.5 * (lo + hi)
     # absolute floor keeps the accept test meaningful for denormal-range
     # voltages where the relative tolerance underflows
     tol = max(KVL_TOL * abs(v_cell), 1e-300)
-    resid = float("inf")
     for _ in range(120):
-        resid, dresid, i_ion, eta2, v_tu, i_tot = evaluate(eta)
+        resid, dresid, i_ion, eta2, v_tu, i_tot, di_tot = evaluate(eta)
         if abs(resid) <= tol:
-            return CellSolution(v_cell, x, eta, eta2, v_tu, i_ion,
-                                g_tu * v_tu, i_tot, r_ion, r_fil, resid)
+            break
         if resid > 0:
             lo = eta    # resid decreases with eta1: root lies above
         else:
@@ -287,10 +286,11 @@ def solve_cell_dc(v_cell, x, p, eta_guess=None):
         if eta_new == eta:
             break   # bracket exhausted at float resolution
         eta = eta_new
+    # within 1e3 * tol: float-limited but physically converged.  resid is
+    # v_cell minus a function of eta1, so dV/d(eta1) = -dresid there
     if abs(resid) <= 1e3 * tol:
-        # float-limited but physically converged
-        return CellSolution(v_cell, x, eta, eta2, v_tu, i_ion,
-                            g_tu * v_tu, i_tot, r_ion, r_fil, resid)
+        return CellSolution(v_cell, x, eta, eta2, v_tu, i_ion, g_tu * v_tu,
+                            i_tot, r_ion, r_fil, resid, -di_tot / dresid)
     raise ConvergenceError(
         f"DC solve stalled at v_cell={v_cell:.6g} V, x={x:.6g} m", resid)
 

@@ -165,6 +165,10 @@ def test_sweep_crs_subthreshold_is_solver_failure(tmp_path, capsys):
     ("crs", "--samples", "0"),
     ("unit", "--amplitude", "0"),
     ("crs", "--amplitude", "0"),
+    ("crs", "--frac", "0"),
+    ("crs", "--frac", "2"),
+    ("crs", "--frac", "-1"),
+    ("crs", "--frac", "nan"),
 ])
 def test_sweep_bad_arguments_are_usage_errors(tmp_path, capsys, device,
                                               option, value):

@@ -1,9 +1,13 @@
 """Anti-serial pair: state machine, decode, divider, pulses, sweep."""
 
+import math
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crsadder import crs
 from crsadder.crs import (
     CrsDeviceState,
     CrsLogicState,
@@ -19,7 +23,7 @@ from crsadder.crs import (
     step_crs_transient,
     sweep_iv_crs,
 )
-from crsadder.ecm import EcmParams, EcmState
+from crsadder.ecm import ConvergenceError, EcmParams, EcmState
 
 P = EcmParams()
 MID = P.gap_midpoint()
@@ -100,6 +104,16 @@ def test_bit_encoding_roundtrip():
 # voltage divider
 # ----------------------------------------------------------------------
 
+def assert_kcl(v_w, v_b, result):
+    """The divider's stated contract: node KCL to 1e-12 of the larger
+    branch current, v_m between the lines, j the bottom cell current."""
+    v_m, j, sol_t, sol_b = result
+    scale = max(abs(sol_t.i_total), abs(sol_b.i_total))
+    assert abs(sol_t.i_total + sol_b.i_total) <= 1e-12 * scale
+    assert min(v_w, v_b) <= v_m <= max(v_w, v_b)
+    assert j == sol_b.i_total
+
+
 @pytest.mark.parametrize("x_top,x_bot,v", [
     (P.x_min, P.x_min, V_W),        # conducting pair
     (P.x_min, P.l, V_W),            # stored 0 under write stress
@@ -108,9 +122,44 @@ def test_bit_encoding_roundtrip():
     (12e-9, 3e-9, V_W / 2),
 ])
 def test_divider_current_consistency(x_top, x_bot, v):
-    _, _, sol_t, sol_b = solve_crs_divider(v / 2, -v / 2, x_top, x_bot, P)
-    scale = max(abs(sol_t.i_total), abs(sol_b.i_total), 1e-300)
-    assert abs(sol_t.i_total + sol_b.i_total) <= 1e-4 * scale
+    v_w, v_b = v / 2, -v / 2
+    assert_kcl(v_w, v_b, solve_crs_divider(v_w, v_b, x_top, x_bot, P))
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+@pytest.mark.parametrize("v", [V_W / 2, -V_W / 2])
+def test_divider_half_select_meets_tolerance(bit, v):
+    # stored states sit exactly at the rails (x_min / l), where the middle
+    # node lies within about 1e-7 of the low-ohmic cell's line
+    s = crs_state_for_bit(bit, P)
+    for v_w, v_b in ((v, 0.0), (0.0, -v), (v / 2, -v / 2)):
+        assert_kcl(v_w, v_b, solve_crs_divider(v_w, v_b, s.top.x,
+                                               s.bottom.x, P))
+
+
+gaps = st.one_of(st.sampled_from([P.x_min, P.l]), st.floats(P.x_min, P.l))
+line_differences = st.one_of(
+    st.floats(-3.0, 3.0), st.floats(-1e-3, 1e-3),
+    st.sampled_from([V_W, -V_W, V_W / 2, -V_W / 2, 1e-9, -1e-12]))
+
+
+@given(x_top=gaps, x_bot=gaps, v=line_differences,
+       common=st.sampled_from([0.0, V_W / 2, -V_W / 2]))
+def test_divider_meets_kcl_tolerance(x_top, x_bot, v, common):
+    v_w, v_b = common + v / 2, common - v / 2
+    assert_kcl(v_w, v_b, solve_crs_divider(v_w, v_b, x_top, x_bot, P))
+
+
+def test_divider_that_cannot_converge_raises(monkeypatch):
+    # a current that jumps across zero has no KCL root to 1e-12; the
+    # divider must say so instead of returning its last iterate
+    def jumping_cell(v, x, p, eta_guess=None):
+        return SimpleNamespace(i_total=math.copysign(x, v) if v else 0.0,
+                               g_diff=0.0)
+
+    monkeypatch.setattr(crs, "solve_cell_dc", jumping_cell)
+    with pytest.raises(ConvergenceError):
+        solve_crs_divider(V_W / 2, -V_W / 2, P.x_min, P.l, P)
 
 
 def test_divider_equal_rails_is_equilibrium():
@@ -178,6 +227,13 @@ def test_pair_transient_requires_positive_duration(dt):
         crs_pulse(s0, V_W, dt, P, n_samples=4)
 
 
+@pytest.mark.parametrize("n_samples", [0, -2])
+def test_pulse_requires_a_sample(n_samples):
+    with pytest.raises(ValueError):
+        crs_pulse(crs_state_for_bit(0, P), V_W, T_PULSE, P,
+                  n_samples=n_samples)
+
+
 @given(v=st.floats(-1.0, 1.0), dt=st.floats(1e-8, 1e-4))
 @settings(max_examples=20)
 def test_pair_gaps_stay_clamped(v, dt):
@@ -232,3 +288,6 @@ def test_sweep_subthreshold_raises():
 def test_sweep_rejects_bad_arguments():
     with pytest.raises(ValueError):
         sweep_iv_crs(-1.0, 2.0, crs_state_for_bit(0, P), P)
+    for frac in (0.0, 1.0, 2.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            sweep_iv_crs(2.0, 2.0, crs_state_for_bit(0, P), P, frac=frac)

@@ -176,6 +176,19 @@ def test_dc_solution_reports_resistances():
     assert rel(sol.r_fil, (P.l - x) / (P.sigma_fil * P.a_fil)) < 1e-15
 
 
+@pytest.mark.parametrize("v", [1.0, -1.0, 0.3, -0.6, 0.0])
+@pytest.mark.parametrize("x", [P.x_min, 5e-9, P.l])
+def test_dc_differential_conductance_matches_finite_difference(v, x):
+    # zero bias is where the solver switches kinetic branches; g_diff
+    # must be the two-sided slope there too
+    h = 1e-5 * abs(v) if v else 1e-9
+    fd = (solve_cell_dc(v + h, x, P).i_total
+          - solve_cell_dc(v - h, x, P).i_total) / (2.0 * h)
+    g = solve_cell_dc(v, x, P).g_diff
+    assert g > 0.0
+    assert rel(g, fd) <= 1e-6
+
+
 # ----------------------------------------------------------------------
 # transient integration
 # ----------------------------------------------------------------------
