@@ -128,6 +128,7 @@ def decode_state(s, gap_threshold):
 # ======================================================================
 
 DIVIDER_KCL_TOL = 1e-12   # relative node-current tolerance of the divider
+DIVIDER_KCL_FLOOR = 1e-300  # A; absolute floor where the relative one underflows
 
 
 def solve_crs_divider(v_w, v_b, x_top, x_bot, p, vm_guess=None):
@@ -147,8 +148,9 @@ def solve_crs_divider(v_w, v_b, x_top, x_bot, p, vm_guess=None):
 
     Returns (v_m, j_series, sol_top, sol_bot) where j_series is the
     current flowing from wl to bl (equals the bottom cell current), with
-    |i_top + i_bot| <= DIVIDER_KCL_TOL * max(|i_top|, |i_bot|); raises
-    ConvergenceError when the bracket is exhausted first.
+    |i_top + i_bot| <= max(DIVIDER_KCL_TOL * max(|i_top|, |i_bot|),
+    DIVIDER_KCL_FLOOR); raises ConvergenceError when the bracket is
+    exhausted first.
     """
     if v_w == v_b:
         sol_t = solve_cell_dc(0.0, x_top, p)
@@ -169,7 +171,8 @@ def solve_crs_divider(v_w, v_b, x_top, x_bot, p, vm_guess=None):
         s_far = solve_cell_dc(u + diff, x_far, p)
         i_low, i_far = s_low.i_total, s_far.i_total
         f = i_low + i_far
-        if abs(f) <= DIVIDER_KCL_TOL * max(abs(i_low), abs(i_far)):
+        if abs(f) <= max(DIVIDER_KCL_TOL * max(abs(i_low), abs(i_far)),
+                         DIVIDER_KCL_FLOOR):
             st, sb = (s_low, s_far) if top_low else (s_far, s_low)
             return v_low + u, sb.i_total, st, sb
         if f < 0.0:

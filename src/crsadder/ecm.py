@@ -313,11 +313,18 @@ def _rail_masked_rate(rate, x, p):
 
 def _implicit_substep(sol, dt, p):
     """One backward-Euler substep from the DC solution sol at the cell's
-    current gap: solve y = x + dt*f(y) with clamping, f at sol.v_cell.
+    current gap: solve g(y) = y - x - dt*f(y) = 0 with clamping, f at
+    sol.v_cell.
 
-    f keeps the sign of v_cell, so the root is bracketed on one side of
-    x; a secant iteration refined inside the bracket does the work, with
-    bisection as fallback.
+    f keeps the sign of v_cell, so the root lies between x and the rail
+    the cell moves toward.  g(x) = -dt*f(x) is known from sol, so x is a
+    bracket end for free; the rail is solved only when a step would
+    reach it, and a rail whose g has the sign of g(x) is the clamped
+    result.  The explicit predictor x + dt*f(x) is the first iterate,
+    then secant steps through the last two iterates, starting from
+    (x, g(x)); a step that leaves the bracket falls back to regula falsi
+    through its ends, or bisection.  Returns y with |g(y)| within
+    1e-9 of the span, or the rail; raises ConvergenceError otherwise.
     """
     x, v_cell = sol.x, sol.v_cell
     if v_cell == 0.0:
@@ -325,7 +332,7 @@ def _implicit_substep(sol, dt, p):
     rate, eta = state_derivative(sol.i_ion, p), sol.eta1
     if _rail_masked_rate(rate, x, p) == 0.0:
         return x
-    lo, hi = (p.x_min, x) if rate < 0.0 else (x, p.l)
+    tol = 1e-9 * (p.l - p.x_min) + 1e-30
 
     def g(y):
         nonlocal eta
@@ -333,33 +340,47 @@ def _implicit_substep(sol, dt, p):
         eta = s.eta1
         return y - x - dt * state_derivative(s.i_ion, p)
 
-    g_lo = g(lo)
-    g_hi = g(hi)
-    if g_lo >= 0.0:
-        return lo     # driven past the near rail
-    if g_hi <= 0.0:
-        return hi
-    a, b, ga, gb = lo, hi, g_lo, g_hi
+    gy = -dt * rate     # g(x)
     y = x + dt * rate   # explicit predictor
-    if not (a < y < b):
-        y = 0.5 * (a + b)
+    if y == x and abs(gy) <= tol:
+        return x        # motion below the float resolution of x
+    # bracket [a, b] with g(a) < 0 < g(b); the rail's g is None until solved
+    if rate < 0.0:
+        a, ga, b, gb = p.x_min, None, x, gy
+    else:
+        a, ga, b, gb = x, gy, p.l, None
+    y_prev, g_prev = x, gy
     for _ in range(80):
+        if not a < y < b:   # also catches a non-finite step
+            if ga is None:
+                ga = g(a)
+                if ga >= 0.0:
+                    return a    # driven past the rail: clamp
+            elif gb is None:
+                gb = g(b)
+                if gb <= 0.0:
+                    return b
+            y = (a * gb - b * ga) / (gb - ga)
+            if not a < y < b:
+                y = 0.5 * (a + b)
+            if not a < y < b:   # no float left inside the bracket
+                y, gy = (a, ga) if -ga < gb else (b, gb)
+                if abs(gy) <= tol:
+                    return y
+                break
         gy = g(y)
-        if abs(gy) <= 1e-9 * (p.l - p.x_min) + 1e-30:
+        if abs(gy) <= tol:
             return y
         if gy < 0.0:
             a, ga = y, gy
         else:
             b, gb = y, gy
-        # secant through the bracket endpoints, bisection if degenerate
-        denom = gb - ga
-        y_new = (a * gb - b * ga) / denom if denom != 0.0 else 0.5 * (a + b)
-        if not (a < y_new < b):
-            y_new = 0.5 * (a + b)
-        if y_new == y:
-            return y
-        y = y_new
-    return 0.5 * (a + b)
+        denom = gy - g_prev
+        y_prev, g_prev, y = y, gy, (
+            y - gy * (y - y_prev) / denom if denom != 0.0 else math.nan)
+    raise ConvergenceError(
+        f"substep missed its tolerance at v_cell={v_cell:.6g} V, "
+        f"x={x:.6g} m, dt={dt:.6g} s", gy)
 
 
 def march(xs, solve, dt, p, max_dt, limit):

@@ -4,11 +4,13 @@ import math
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crsadder import crs
 from crsadder.crs import (
+    DIVIDER_KCL_FLOOR,
+    DIVIDER_KCL_TOL,
     CrsDeviceState,
     CrsLogicState,
     IndeterminateStateError,
@@ -106,10 +108,12 @@ def test_bit_encoding_roundtrip():
 
 def assert_kcl(v_w, v_b, result):
     """The divider's stated contract: node KCL to 1e-12 of the larger
-    branch current, v_m between the lines, j the bottom cell current."""
+    branch current (or to the absolute floor where that underflows),
+    v_m between the lines, j the bottom cell current."""
     v_m, j, sol_t, sol_b = result
     scale = max(abs(sol_t.i_total), abs(sol_b.i_total))
-    assert abs(sol_t.i_total + sol_b.i_total) <= 1e-12 * scale
+    assert abs(sol_t.i_total + sol_b.i_total) <= max(
+        DIVIDER_KCL_TOL * scale, DIVIDER_KCL_FLOOR)
     assert min(v_w, v_b) <= v_m <= max(v_w, v_b)
     assert j == sol_b.i_total
 
@@ -133,6 +137,17 @@ def test_divider_half_select_meets_tolerance(bit, v):
     # node lies within about 1e-7 of the low-ohmic cell's line
     s = crs_state_for_bit(bit, P)
     for v_w, v_b in ((v, 0.0), (0.0, -v), (v / 2, -v / 2)):
+        assert_kcl(v_w, v_b, solve_crs_divider(v_w, v_b, s.top.x,
+                                               s.bottom.x, P))
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+@pytest.mark.parametrize("v", [1e-290, 1e-300, 5e-324])
+def test_divider_at_subnormal_scale_line_differences(bit, v):
+    # cell currents of about 1e-307 A and below: the relative tolerance
+    # underflows and the absolute floor decides
+    s = crs_state_for_bit(bit, P)
+    for v_w, v_b in ((v, 0.0), (0.0, -v), (-v, 0.0), (v / 2, -v / 2)):
         assert_kcl(v_w, v_b, solve_crs_divider(v_w, v_b, s.top.x,
                                                s.bottom.x, P))
 
@@ -235,6 +250,7 @@ def test_pulse_requires_a_sample(n_samples):
 
 
 @given(v=st.floats(-1.0, 1.0), dt=st.floats(1e-8, 1e-4))
+@example(v=1.9294825946148343e-288, dt=8.771430147495266e-05)
 @settings(max_examples=20)
 def test_pair_gaps_stay_clamped(v, dt):
     s = step_crs_transient(crs_state_for_bit(0, P), v, dt, P)

@@ -7,15 +7,18 @@ the package implementation existed.
 
 import hashlib
 import math
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from crsadder import ecm
 from crsadder.ecm import (
     DEFAULT_SWEEP_RATE,
     DEFAULT_UNIT_AMPLITUDE,
+    KVL_TOL,
     ConvergenceError,
     EcmParams,
     EcmState,
@@ -23,6 +26,7 @@ from crsadder.ecm import (
     ionic_current,
     load_params,
     params_text,
+    _implicit_substep,
     save_params,
     solve_cell_dc,
     state_derivative,
@@ -169,6 +173,21 @@ def test_dc_kirchhoff_residuals(v, x):
     assert abs(sol.kvl_residual) <= 1e-9 * abs(v)
 
 
+# rails exactly, and voltages from the write range down to the smallest
+# subnormal, where the relative loop tolerance underflows to its floor
+rail_or_gap = st.one_of(st.sampled_from([P.x_min, P.l]),
+                        st.floats(P.x_min, P.l))
+cell_voltages = st.one_of(
+    st.floats(-3.0, 3.0), st.floats(-1e-280, 1e-280),
+    st.sampled_from([5e-324, -5e-324, 1e-300, -1e-310, 1e-290, 0.0]))
+
+
+@given(v=cell_voltages, x=rail_or_gap)
+def test_dc_meets_stated_kvl_tolerance(v, x):
+    sol = solve_cell_dc(v, x, P)
+    assert abs(sol.kvl_residual) <= 1e3 * max(KVL_TOL * abs(v), 1e-300)
+
+
 def test_dc_solution_reports_resistances():
     x = 5e-9
     sol = solve_cell_dc(0.5, x, P)
@@ -229,6 +248,50 @@ def test_transient_stays_clamped(v, dt, x0):
     assert P.x_min <= s.x <= P.l
 
 
+SUBSTEP_TOL = 1e-9 * SPAN + 1e-30
+
+
+@given(v=cell_voltages, x=rail_or_gap, dt=st.floats(1e-12, 1e-2))
+@example(v=3.0, x=P.l, dt=1e-2)          # predictor far past x_min
+@example(v=-3.0, x=P.x_min, dt=1e-2)     # predictor far past l
+@example(v=2.6, x=P.x_min, dt=1e-6)      # pinned at the rail it is driven into
+@example(v=1e-300, x=5e-9, dt=1e-6)      # motion below the float resolution of x
+def test_implicit_substep_meets_tolerance_or_clamps(v, x, dt):
+    y = _implicit_substep(solve_cell_dc(v, x, P), dt, P)
+    # residual of the backward-Euler step, f from an independent DC solve
+    g = y - x - dt * state_derivative(solve_cell_dc(v, y, P).i_ion, P)
+    if abs(g) <= SUBSTEP_TOL:
+        assert P.x_min <= y <= P.l
+    elif y == P.x_min:
+        assert g > 0.0     # the root lies past x_min
+    else:
+        assert y == P.l and g < 0.0
+
+
+def test_implicit_substep_one_ulp_from_the_rail():
+    # no float lies between x and the rail; the predictor rounds onto the
+    # rail, which is not past the root, so the answer is a bracket end
+    x = math.nextafter(P.x_min, P.l)
+    sol = solve_cell_dc(1e-3, x, P)
+    dt = 0.75 * (x - P.x_min) / abs(state_derivative(sol.i_ion, P))
+    y = _implicit_substep(sol, dt, P)
+    g = y - x - dt * state_derivative(solve_cell_dc(1e-3, y, P).i_ion, P)
+    assert y in (P.x_min, x) and abs(g) <= SUBSTEP_TOL
+
+
+def test_implicit_substep_that_cannot_converge_raises(monkeypatch):
+    # a gap velocity that jumps across the root leaves no y within the
+    # tolerance; the substep must say so instead of returning an iterate
+    def jumping_cell(v, x, p, eta_guess=None):
+        speed = 1e-8 if x > 5e-9 else 1e-10
+        return SimpleNamespace(v_cell=v, x=x, eta1=0.0,
+                               i_ion=speed / p._k_faraday)
+
+    monkeypatch.setattr(ecm, "solve_cell_dc", jumping_cell)
+    with pytest.raises(ConvergenceError):
+        _implicit_substep(jumping_cell(1.0, 10e-9, P), 1.0, P)
+
+
 def test_transient_requires_positive_dt():
     with pytest.raises(ValueError):
         step_transient(EcmState(P.l), 1.0, 0.0, P)
@@ -239,9 +302,10 @@ def test_transient_requires_positive_dt():
 # ----------------------------------------------------------------------
 
 # SHA-256 of repr(rows) of the default-cell sweep at 300 samples,
-# recorded before the two transient integrators shared one controller
+# recorded with the substep solve that starts from the explicit
+# predictor and takes secant steps from (x, g(x))
 GOLD_UNIT_SWEEP_300 = (
-    "674a68ba1167405dd52898cc49ad000a5c16e3fe8747ff11f14f2583bfb0cd4e")
+    "7d4fa406186ddf83eb75e8b766d8997a60cd3ec67a2222f586b327257ca75919")
 
 
 def test_sweep_rows_golden():
