@@ -2,13 +2,14 @@
 """Paired perfbench runs of a parent ref against the working tree.
 
 Checks the parent ref out into a temporary git worktree, then runs
-perfbench/run.py in both trees, seed by seed, alternating which side runs
-first (even pair index: parent first).  Writes every run, the per-metric
-medians and quartiles of each side and, unless --trace-seed is 0, one
-traced run per side and workload, to a BENCH_<n>.json file:
+perfbench/run.py in both trees for every workload of BENCHMARK.json,
+seed by seed, for the run length BENCHMARK.json sets, alternating which
+side runs first (even pair index: parent first).  Writes every run, the
+per-metric medians and quartiles of each side and one traced run
+(--trace 1, seed 1) per side and workload to a BENCH_<n>.json file:
 
     python3 scripts/bench_pair.py --parent HEAD --out BENCH_5.json \\
-        --workload device-adder=1-10 --workload characterize=1-5
+        --seeds 21-30
 
 Runs are sequential, one process each.  Nothing under perfbench/ or
 BENCHMARK.json is edited; a traced run writes its span file under the
@@ -26,21 +27,17 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DEFAULT_WORKLOADS = ("device-adder=1-10", "characterize=1-5",
-                     "behavioral-wide=1-5")
+TRACE_SEED = 1
 END_TO_END = ("ops_per_s", "peak_rss_mb", "setup_s")
 
 
-def parse_workload(text):
-    """'name=3-7' or 'name=1,4,9' -> (name, [seeds])."""
-    name, _, spec = text.partition("=")
-    if not name or not spec:
-        raise argparse.ArgumentTypeError(f"expected NAME=SEEDS, got {text!r}")
+def parse_seeds(spec):
+    """'3-7' or '1,4,9' -> [seeds]."""
     seeds = []
     for part in spec.split(","):
         lo, _, hi = part.partition("-")
         seeds += range(int(lo), int(hi or lo) + 1)
-    return name, seeds
+    return seeds
 
 
 def git(*args, cwd=ROOT):
@@ -103,28 +100,28 @@ def main(argv=None):
     ap.add_argument("--parent", default="HEAD",
                     help="git ref of the parent side (default HEAD)")
     ap.add_argument("--out", required=True, help="BENCH_<n>.json to write")
-    ap.add_argument("--workload", action="append", type=parse_workload,
-                    help="NAME=SEEDS, repeatable (default: "
-                         + " ".join(DEFAULT_WORKLOADS) + ")")
-    ap.add_argument("--seconds", type=float, default=40.0)
-    ap.add_argument("--trace-seed", type=int, default=1,
-                    help="seed of the traced runs; 0 skips them")
+    ap.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-10"),
+                    help="seeds of the pairs, run on every workload, "
+                         "e.g. 21-30 or 1,4,9 (default 1-10)")
     ap.add_argument("--what", default="", help="one line on the change")
     ap.add_argument("--note", action="append", default=[])
     args = ap.parse_args(argv)
-    workloads = args.workload or [parse_workload(w) for w in DEFAULT_WORKLOADS]
-
+    if len(set(args.seeds)) < 10:
+        ap.error("a gain is judged on at least 10 pairs: give 10 seeds or more")
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"]
-                  for m in json.load(fh)["end_to_end"]}
+        bench = json.load(fh)
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     sha = git("rev-parse", "--short", args.parent)
     doc = {
         "what": f"perfbench records, parent commit {sha} -> this change"
                 + (f" ({args.what})" if args.what else ""),
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
-                 "python": platform.python_version()},
+                 "python": platform.python_version(),
+                 "note": "every run one process, sequential"},
         "command": f"python3 perfbench/run.py --workload W --seed S "
-                   f"--seconds {args.seconds:g} --trace T, run from the "
+                   f"--seconds {seconds:g} --trace T, run from the "
                    f"root of each checkout",
         "order": "pairs alternate: even pair index runs the parent first, "
                  "odd pair index runs the change first",
@@ -136,17 +133,16 @@ def main(argv=None):
         git("worktree", "add", "--detach", parent_tree, sha)
         trees = {"parent": parent_tree, "change": ROOT}
         try:
-            for name, seeds in workloads:
+            for name in workloads:
                 runs = []
                 entry = doc["end_to_end"][name] = {"runs": runs}
-                for i, seed in enumerate(seeds):
+                for i, seed in enumerate(args.seeds):
                     order = ("parent", "change") if i % 2 == 0 \
                         else ("change", "parent")
                     for side in order:
                         print(f"bench_pair: {name} seed {seed} {side}",
                               file=sys.stderr, flush=True)
-                        res = perfbench(trees[side], name, seed,
-                                        args.seconds, 0)
+                        res = perfbench(trees[side], name, seed, seconds, 0)
                         row = {"side": side, "seed": seed,
                                "ran_first": side == order[0]}
                         row.update(flat(res))
@@ -156,17 +152,15 @@ def main(argv=None):
                         s: sum(r["failed"] for r in runs if r["side"] == s)
                         for s in trees}
                     write(args.out, doc)
-            if args.trace_seed:
-                traced = doc[f"traced_seed{args.trace_seed}"] = {}
-                for name, _ in workloads:
-                    traced[name] = {}
-                    for side in trees:
-                        print(f"bench_pair: {name} traced {side}",
-                              file=sys.stderr, flush=True)
-                        traced[name][side] = flat(perfbench(
-                            trees[side], name, args.trace_seed,
-                            args.seconds, 1))
-                        write(args.out, doc)
+            traced = doc[f"traced_seed{TRACE_SEED}"] = {}
+            for name in workloads:
+                traced[name] = {}
+                for side in trees:
+                    print(f"bench_pair: {name} traced {side}",
+                          file=sys.stderr, flush=True)
+                    traced[name][side] = flat(perfbench(
+                        trees[side], name, TRACE_SEED, seconds, 1))
+                    write(args.out, doc)
         finally:
             git("worktree", "remove", "--force", parent_tree)
     write(args.out, doc)

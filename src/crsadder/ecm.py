@@ -318,13 +318,14 @@ def _implicit_substep(sol, dt, p):
 
     f keeps the sign of v_cell, so the root lies between x and the rail
     the cell moves toward.  g(x) = -dt*f(x) is known from sol, so x is a
-    bracket end for free; the rail is solved only when a step would
-    reach it, and a rail whose g has the sign of g(x) is the clamped
+    bracket end for free; the rail is solved only when a step lands on
+    or past it, and a rail whose g has the sign of g(x) is the clamped
     result.  The explicit predictor x + dt*f(x) is the first iterate,
     then secant steps through the last two iterates, starting from
     (x, g(x)); a step that leaves the bracket falls back to regula falsi
-    through its ends, or bisection.  Returns y with |g(y)| within
-    1e-9 of the span, or the rail; raises ConvergenceError otherwise.
+    through its ends once both are known, else to bisection.  Returns y
+    with |g(y)| within 1e-9 of the span, or the rail; raises
+    ConvergenceError otherwise.
     """
     x, v_cell = sol.x, sol.v_cell
     if v_cell == 0.0:
@@ -352,17 +353,21 @@ def _implicit_substep(sol, dt, p):
     y_prev, g_prev = x, gy
     for _ in range(80):
         if not a < y < b:   # also catches a non-finite step
-            if ga is None:
+            mid = 0.5 * (a + b)
+            stuck = not a < mid < b     # no float between the ends
+            if ga is None and (y <= a or stuck):
                 ga = g(a)
                 if ga >= 0.0:
                     return a    # driven past the rail: clamp
-            elif gb is None:
+            elif gb is None and (y >= b or stuck):
                 gb = g(b)
                 if gb <= 0.0:
                     return b
-            y = (a * gb - b * ga) / (gb - ga)
-            if not a < y < b:
-                y = 0.5 * (a + b)
+            y = mid
+            if ga is not None and gb is not None:
+                y = (a * gb - b * ga) / (gb - ga)
+                if not a < y < b:
+                    y = mid
             if not a < y < b:   # no float left inside the bracket
                 y, gy = (a, ga) if -ga < gb else (b, gb)
                 if abs(gy) <= tol:

@@ -292,6 +292,29 @@ def test_implicit_substep_that_cannot_converge_raises(monkeypatch):
         _implicit_substep(jumping_cell(1.0, 10e-9, P), 1.0, P)
 
 
+def test_implicit_substep_solves_the_rail_only_when_a_step_reaches_it(
+        monkeypatch):
+    # the gap accelerates toward x_min: speed 1, then 3 units once it has
+    # moved one unit (u, in units of dt*1e-10 m), so g(u) ~ u - min(1+2u, 3)
+    # with its root at u = 3.  The predictor lands at u = 1 with g of the
+    # sign of g(x), and the secant through both points steps back past x;
+    # that must bisect toward the unsolved rail, not solve it
+    x, dt, unit = 10e-9, 1.0, 1e-10
+    solved = []
+
+    def accelerating_cell(v, y, p, eta_guess=None):
+        solved.append(y)
+        speed = unit * min(1.0 + 2.0 * (x - y) / unit, 3.0)
+        return SimpleNamespace(v_cell=v, x=y, eta1=0.0,
+                               i_ion=speed / p._k_faraday)
+
+    sol = accelerating_cell(1.0, x, P)
+    monkeypatch.setattr(ecm, "solve_cell_dc", accelerating_cell)
+    y = _implicit_substep(sol, dt, P)
+    assert abs(y - (x - 3 * unit)) <= SUBSTEP_TOL
+    assert P.x_min not in solved
+
+
 def test_transient_requires_positive_dt():
     with pytest.raises(ValueError):
         step_transient(EcmState(P.l), 1.0, 0.0, P)
