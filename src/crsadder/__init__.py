@@ -58,10 +58,8 @@ from .executor import (
 from .logic import (
     add_words_reference,
     carry_next,
-    carry_oracle,
     full_adder_bit,
     int_to_word,
-    ripple_add_words,
     str_to_word,
     sub_words_reference,
     sum_final,

@@ -5,8 +5,9 @@ compiled program at either level and verify against integer arithmetic),
 calibrate (pulse parameter search, cached to a sidecar), emit (program
 JSON + step table), compare (cost table across schemes).
 
-Exit codes: 0 success/verified, 1 verification mismatch, 2 usage error,
-3 solver or calibration failure.
+Exit codes: 0 success/verified, 1 verification mismatch, 2 usage error
+(a file argument that cannot be read or written included), 3 solver or
+calibration failure.
 
 All numeric CSV output uses 17-significant-digit scientific notation so
 repeated runs are byte-identical and diff-friendly.
@@ -123,36 +124,38 @@ def cmd_sweep(args):
 # calibration (shared by the calibrate and adder commands)
 # ----------------------------------------------------------------------
 
-def _sidecar_path(args, fingerprint):
-    return _outpath(args, f"calibration-{fingerprint}.json")
-
-
-def _pulse_from_sidecar(doc):
-    return PulseParams(v_w=doc["v_w"], t_pulse=doc["t_pulse_s"],
-                       t_gap=doc["t_gap_s"],
-                       samples_per_pulse=doc["samples_per_pulse"],
-                       i_spike=doc["i_spike_a"])
+def _sidecar_pulse(path, fp, margin):
+    """The sidecar's pulse if it was calibrated for fp at margin; None
+    if it is missing, was made for other parameters or another margin,
+    or does not hold a valid pulse."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if doc["params_fingerprint"] != fp or doc["target_margin"] != margin:
+            return None
+        return PulseParams(v_w=doc["v_w"], t_pulse=doc["t_pulse_s"],
+                           samples_per_pulse=doc["samples_per_pulse"],
+                           i_spike=doc["i_spike_a"])
+    except (FileNotFoundError, ValueError, KeyError, TypeError):
+        return None
 
 
 def _calibrated_pulse(args, p, reuse=True):
-    """Pulse for p at args.margin: the sidecar's if it was calibrated for
-    the same parameters and margin, else a fresh search seeded at
-    args.v_seed that overwrites the sidecar."""
+    """Pulse for p at args.margin: the sidecar's if it holds one for the
+    same parameters and margin, else a fresh search seeded at args.v_seed
+    that overwrites the sidecar."""
     fp = params_fingerprint(p)
-    path = _sidecar_path(args, fp)
-    if reuse and os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if (doc.get("params_fingerprint") == fp
-                and doc.get("target_margin") == args.margin):
-            return _pulse_from_sidecar(doc), path, True
+    path = _outpath(args, f"calibration-{fp}.json")
+    if reuse:
+        pp = _sidecar_pulse(path, fp, args.margin)
+        if pp is not None:
+            return pp, path, True
     pp = calibrate_pulse(p, target_margin=args.margin, v_seed=args.v_seed)
     write_json(path, {
         "params_fingerprint": fp,
         "target_margin": args.margin,
         "v_w": pp.v_w,
         "t_pulse_s": pp.t_pulse,
-        "t_gap_s": pp.t_gap,
         "samples_per_pulse": pp.samples_per_pulse,
         "i_spike_a": pp.i_spike,
     })
@@ -338,7 +341,7 @@ def main(argv=None):
         return 0 if e.code in (0, None) else 2
     try:
         return args.func(args)
-    except ValueError as e:   # UsageError included
+    except (ValueError, OSError) as e:   # UsageError included
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ConvergenceError, CalibrationError, ExecutionError,

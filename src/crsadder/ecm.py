@@ -448,8 +448,9 @@ def _triangle_sweep(amplitude, rate, s0, n_samples, advance, sample):
     """Rows sample(v, state) at n_samples + 1 even instants of one
     triangle period; advance(state, v, dt) carries the state across
     each interval at the interval's end voltage."""
-    if amplitude <= 0 or rate <= 0:
-        raise ValueError("amplitude and rate must be > 0")
+    for name, value in (("amplitude", amplitude), ("rate", rate)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     total = 4.0 * amplitude / rate

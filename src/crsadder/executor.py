@@ -58,15 +58,17 @@ class CalibrationError(RuntimeError):
 class PulseParams:
     v_w: float                    # full-select write amplitude, V
     t_pulse: float                # pulse width, s
-    t_gap: float = 0.0            # settle time between steps, s
     samples_per_pulse: int = 40
     i_spike: float = 1e-6         # read spike detection threshold, A
 
     def __post_init__(self):
-        if self.v_w <= 0 or self.t_pulse <= 0 or self.i_spike <= 0:
-            raise ValueError("v_w, t_pulse and i_spike must be > 0")
-        if self.t_gap < 0 or self.samples_per_pulse < 2:
-            raise ValueError("t_gap >= 0 and samples_per_pulse >= 2 required")
+        if not all(0 < x < math.inf
+                   for x in (self.v_w, self.t_pulse, self.i_spike)):
+            raise ValueError("v_w, t_pulse and i_spike must be finite "
+                             "and > 0")
+        if (not isinstance(self.samples_per_pulse, int)
+                or self.samples_per_pulse < 2):
+            raise ValueError("samples_per_pulse must be an integer >= 2")
 
 
 @dataclass(frozen=True)
@@ -245,9 +247,8 @@ class _PairCells:
     """Device backend: ECM pairs advanced by crs_pulse, currents sampled.
 
     Every used cell starts at ZERO (the init read makes the outcome
-    independent of prior content).  Waveform samples cover each pulse
-    window; settle gaps are skipped analytically since unbiased cells
-    do not move.
+    independent of prior content).  Pulses follow one another without
+    gaps, and waveform samples cover each pulse window.
     """
 
     def __init__(self, p, pp, ep):
@@ -299,7 +300,7 @@ class _PairCells:
                 row.append(i_bl)
             self.samples.append(tuple(row))
         if half != 0:
-            self.t = self.t + pp.t_pulse + pp.t_gap
+            self.t += pp.t_pulse
         return [self._verdict(peaks.get(key, 0.0)) for key in reads]
 
     def read(self, key):
@@ -372,8 +373,7 @@ def _half_select_drift(v_half, t_pulse, ep):
     return ok, worst
 
 
-def calibrate_pulse(ep, target_margin=100.0, v_seed=2.6, t_gap=0.0,
-                    samples_per_pulse=40):
+def calibrate_pulse(ep, target_margin=100.0, v_seed=2.6):
     """Find (v_w, t_pulse, i_spike) satisfying the half-select contract.
 
     t_pulse is set to 2.5x the measured full-select switching time, so a
@@ -416,9 +416,7 @@ def calibrate_pulse(ep, target_margin=100.0, v_seed=2.6, t_gap=0.0,
             continue
         i_spike = math.sqrt(peak_spike * peak_quiet)
         report["i_spike_a"] = i_spike
-        return PulseParams(v_w=v_w, t_pulse=t_pulse, t_gap=t_gap,
-                           samples_per_pulse=samples_per_pulse,
-                           i_spike=i_spike)
+        return PulseParams(v_w=v_w, t_pulse=t_pulse, i_spike=i_spike)
     raise CalibrationError(
         f"no amplitude in [{v_seed}, {v_w}] V satisfied the half-select "
         f"contract at margin {target_margin}", {"attempts": attempts})

@@ -26,11 +26,6 @@ def carry_next(a, b, c):
     return fsm_next(c, a, 1 - b)
 
 
-def carry_oracle(a, b, c):
-    """Majority form ab + ac + bc, the carry's conventional definition."""
-    return (a & b) | (a & c) | (b & c)
-
-
 def sum_intermediate(a, b, c):
     """First of the two state updates producing the sum bit.
 
@@ -113,22 +108,3 @@ def sub_words_reference(a_bits, b_bits):
     total = word_to_int(a_bits) - word_to_int(b_bits)
     return int_to_word(total, n + 1)
 
-
-def ripple_add_words(a_bits, b_bits, c0=0):
-    """(n+1)-bit sum using only the state-update pipeline per bit.
-
-    The extra significance reuses the operand MSBs once more (sign
-    extension by doubled top bit), so the result is the exact
-    two's-complement sum of the operands.
-    """
-    if len(a_bits) != len(b_bits):
-        raise ValueError("operand widths differ")
-    n = len(a_bits)
-    c = c0
-    out = []
-    for k in range(n + 1):
-        a = a_bits[min(k, n - 1)]
-        b = b_bits[min(k, n - 1)]
-        s, c = full_adder_bit(a, b, c)
-        out.append(s)
-    return out

@@ -178,12 +178,6 @@ class Step:
         if self.annotation not in ANNOTATIONS:
             raise ValueError(f"unknown annotation {self.annotation!r}")
 
-    def drive_for(self, array):
-        for d in self.drives:
-            if d.array == array:
-                return d
-        return None
-
 
 @dataclass(frozen=True)
 class Program:
@@ -212,28 +206,25 @@ def _check_width(n):
         raise ValueError(f"operand width must be an integer >= 1, got {n!r}")
 
 
-def gen_pc_adder(n, subtract=False, calc_array=0, aux_array=1,
-                 wl_calc=0, wl_aux=0):
+def gen_pc_adder(n, subtract=False):
     """Compile the two-array precalculation schedule for n-bit operands.
 
-    Array layout: sum cells at bitlines 0..n of calc_array, carry cells
-    at bitlines 0..n of aux_array (carry cell i ends up holding carry
-    i+1).  subtract complements every operand-b signal and forces the
-    carry-in to 1, turning a + b into a - b.
+    Fixed layout: sum cells at bitlines 0..n of array 0, carry cells at
+    bitlines 0..n of array 1 (carry cell i ends up holding carry i+1),
+    both on wordline 0.  subtract complements every operand-b signal and
+    forces the carry-in to 1, turning a + b into a - b.
     """
     _check_width(n)
-    if calc_array == aux_array:
-        raise ValueError("calc and aux arrays must differ")
     # subtract swaps the roles of b and NOT b at signal level
     sig_b = (lambda i: not_b(i)) if subtract else (lambda i: input_b(i))
     sig_nb = (lambda i: input_b(i)) if subtract else (lambda i: not_b(i))
     width = n + 1
-    calc_cells = tuple(CellAddr(calc_array, wl_calc, k) for k in range(width))
-    aux_cells = tuple(CellAddr(aux_array, wl_aux, k) for k in range(width))
+    calc_cells = tuple(CellAddr(0, 0, k) for k in range(width))
+    aux_cells = tuple(CellAddr(1, 0, k) for k in range(width))
 
     def both(wl_c, bls_c, wl_a, bls_a):
-        return (ArrayDrive(calc_array, wl_calc, wl_c, tuple(bls_c)),
-                ArrayDrive(aux_array, wl_aux, wl_a, tuple(bls_a)))
+        return (ArrayDrive(0, 0, wl_c, tuple(bls_c)),
+                ArrayDrive(1, 0, wl_a, tuple(bls_a)))
 
     steps = [
         Step("init_read", both(CONST1, [CONST0] * width,
@@ -262,28 +253,25 @@ def gen_pc_adder(n, subtract=False, calc_array=0, aux_array=1,
                    calc_cells, calc_cells + aux_cells)
 
 
-def gen_tc_adder(n, subtract=False, array=0, wl_row=0, tc_bl=0):
+def gen_tc_adder(n, subtract=False):
     """Compile the single-array toggle-cell schedule for n-bit operands.
 
-    The carry cell sits at bitline tc_bl; sum cells occupy the next n+1
-    bitlines.  Per significance: one lockstep carry/sum step, a read of
-    the carry cell into register c<i+1>, the second sum update consuming
-    that register, and (except at the top significance) a write-back
-    restoring the carry into the cell.
+    Fixed layout on wordline 0 of array 0: the carry cell at bitline 0,
+    sum cells at bitlines 1..n+1.  Per significance: one lockstep
+    carry/sum step, a read of the carry cell into register c<i+1>, the
+    second sum update consuming that register, and (except at the top
+    significance) a write-back restoring the carry into the cell.
     """
     _check_width(n)
     sig_b = (lambda i: not_b(i)) if subtract else (lambda i: input_b(i))
     sig_nb = (lambda i: input_b(i)) if subtract else (lambda i: not_b(i))
     width = n + 1
     n_bls = width + 1
-    if not 0 <= tc_bl < n_bls:
-        raise ValueError(f"carry cell bitline must lie in [0, {n_bls - 1}]")
-    sum_bl = [k for k in range(n_bls) if k != tc_bl]
-    tc_cell = CellAddr(array, wl_row, tc_bl)
-    sum_cells = tuple(CellAddr(array, wl_row, sum_bl[k]) for k in range(width))
+    tc_cell = CellAddr(0, 0, 0)
+    sum_cells = tuple(CellAddr(0, 0, k + 1) for k in range(width))
 
     def drive(wl, bls):
-        return (ArrayDrive(array, wl_row, wl, tuple(bls)),)
+        return (ArrayDrive(0, 0, wl, tuple(bls)),)
 
     def bls_with(mapping, default=GROUND):
         return [mapping.get(k, default) for k in range(n_bls)]
@@ -294,25 +282,21 @@ def gen_tc_adder(n, subtract=False, array=0, wl_row=0, tc_bl=0):
     ]
     for i in range(width):
         idx = min(i, n - 1)
-        carry_bls = {tc_bl: sig_nb(idx)}
-        for k in range(width):
-            if k > i:
-                carry_bls[sum_bl[k]] = sig_nb(idx)
-            elif k == i:
-                carry_bls[sum_bl[k]] = sig_b(idx)
-        steps.append(Step("carry", drive(input_a(idx),
-                                         bls_with(carry_bls))))
+        carry_bls = [sig_nb(idx)] + [
+            GROUND if k < i else sig_b(idx) if k == i else sig_nb(idx)
+            for k in range(width)]
+        steps.append(Step("carry", drive(input_a(idx), carry_bls)))
         steps.append(Step("read",
-                          drive(CONST1, bls_with({tc_bl: CONST0})),
+                          drive(CONST1, bls_with({0: CONST0})),
                           reads=(ReadDirective(tc_cell, f"c{i + 1}"),)))
         steps.append(Step("sum2", drive(sig_b(idx),
-                                        bls_with({sum_bl[i]: reg(f"c{i + 1}")}))))
+                                        bls_with({i + 1: reg(f"c{i + 1}")}))))
         if i < width - 1:
             # the read left the carry cell at ONE: bl=const1 holds a
             # latched 1 and writes a latched 0
             steps.append(Step("writeback",
                               drive(reg(f"c{i + 1}"),
-                                    bls_with({tc_bl: CONST1}))))
+                                    bls_with({0: CONST1}))))
     return Program("tc", n, subtract, tuple(steps),
                    sum_cells, (tc_cell,) + sum_cells)
 
@@ -455,7 +439,7 @@ def render_step_table(p):
     for si, s in enumerate(p.steps, start=1):
         row = [str(si), s.annotation]
         for a in arrays:
-            d = s.drive_for(a)
+            d = next((d for d in s.drives if d.array == a), None)
             if d is None:
                 row += ["-", "-"]
             else:

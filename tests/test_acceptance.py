@@ -15,7 +15,6 @@ import pytest
 from crsadder import (
     EcmState,
     carry_next,
-    carry_oracle,
     comparison_table,
     crs_state_for_bit,
     fsm_next,
@@ -32,7 +31,7 @@ from crsadder import (
 )
 from crsadder.executor import _half_select_drift, time_to_flip
 
-from oracles import add_oracle
+from oracles import add_oracle, majority_bit
 
 SET_WINDOW = (1.1, 1.5)          # V
 RESET_WINDOW = (-0.7, -0.3)      # V
@@ -57,7 +56,7 @@ TRIPLES = list(itertools.product((0, 1), repeat=3))
 
 def test_criterion_01_carry_identity():
     for a, b, c in TRIPLES:
-        assert carry_next(a, b, c) == carry_oracle(a, b, c)
+        assert carry_next(a, b, c) == majority_bit(a, b, c)
     _report(1, "carry update equals majority on all 8 triples")
 
 

@@ -107,6 +107,25 @@ def test_adder_mismatch_exit_code(tmp_path, capsys, monkeypatch):
     assert "MISMATCH" in captured.err
 
 
+def test_missing_params_file_is_usage_error(tmp_path, capsys):
+    rc = run_cli("--params", str(tmp_path / "absent.params"), "--out",
+                 str(tmp_path), "adder", "--scheme", "pc", "--a", "01",
+                 "--b", "01", "--level", "device")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "absent.params" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_uncreatable_out_dir_is_usage_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = run_cli("--out", str(blocker / "sub"), "compare")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert run_cli("bogus") == 2
 
@@ -169,13 +188,19 @@ def test_sweep_crs_subthreshold_is_solver_failure(tmp_path, capsys):
     ("crs", "--frac", "2"),
     ("crs", "--frac", "-1"),
     ("crs", "--frac", "nan"),
+    ("unit", "--rate", "nan"),
+    ("unit", "--rate", "inf"),
+    ("crs", "--rate", "inf"),
+    ("unit", "--amplitude", "inf"),
+    ("crs", "--amplitude", "nan"),
 ])
 def test_sweep_bad_arguments_are_usage_errors(tmp_path, capsys, device,
                                               option, value):
     rc = run_cli("--out", str(tmp_path), "sweep", "--device", device,
                  option, value)
     assert rc == 2
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error" in err and option[2:] in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -204,16 +229,16 @@ def test_sweep_reads_params_file(tmp_path):
 # calibration sidecar and device-level adder
 # ----------------------------------------------------------------------
 
-def _write_sidecar(dirpath, pp, params):
+def _write_sidecar(dirpath, pp, params, **changes):
     fp = params_fingerprint(params)
     doc = {
         "params_fingerprint": fp,
         "target_margin": 100.0,
         "v_w": pp.v_w,
         "t_pulse_s": pp.t_pulse,
-        "t_gap_s": pp.t_gap,
         "samples_per_pulse": pp.samples_per_pulse,
         "i_spike_a": pp.i_spike,
+        **changes,
     }
     path = dirpath / f"calibration-{fp}.json"
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -227,6 +252,39 @@ def test_calibrate_writes_and_reuses_sidecar(tmp_path, capsys, params,
     assert rc == 0
     out = capsys.readouterr().out
     assert "loaded" in out and sidecar.name in out
+
+
+def test_calibrate_loads_legacy_sidecar_with_settle_time(tmp_path, capsys,
+                                                        params, pulse):
+    # sidecars written before the settle time was dropped carry t_gap_s
+    _write_sidecar(tmp_path, pulse, params, t_gap_s=0.0)
+    assert run_cli("--out", str(tmp_path), "calibrate") == 0
+    assert "loaded" in capsys.readouterr().out
+
+
+BROKEN_SIDECARS = {
+    "not json": lambda doc: "v_w = 2.6\n",
+    "missing key": lambda doc: json.dumps(
+        {k: v for k, v in doc.items() if k != "v_w"}),
+    "negative v_w": lambda doc: json.dumps({**doc, "v_w": -1.0}),
+    "nan v_w": lambda doc: json.dumps({**doc, "v_w": float("nan")}),
+    "string samples": lambda doc: json.dumps({**doc,
+                                              "samples_per_pulse": "40"}),
+    "list document": lambda doc: json.dumps([doc]),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(BROKEN_SIDECARS))
+def test_calibrate_recalibrates_over_broken_sidecar(tmp_path, capsys, params,
+                                                    pulse, damage):
+    sidecar = _write_sidecar(tmp_path, pulse, params)
+    sidecar.write_text(BROKEN_SIDECARS[damage](json.loads(sidecar.read_text())))
+    rc = run_cli("--out", str(tmp_path), "calibrate")
+    assert rc == 0
+    assert "wrote" in capsys.readouterr().out
+    fresh = json.loads(sidecar.read_text())
+    assert fresh["v_w"] == pulse.v_w
+    assert fresh["samples_per_pulse"] == pulse.samples_per_pulse
 
 
 def test_calibrate_force_recalibrates(tmp_path, capsys, params, pulse):

@@ -304,6 +304,11 @@ def test_sweep_subthreshold_raises():
 def test_sweep_rejects_bad_arguments():
     with pytest.raises(ValueError):
         sweep_iv_crs(-1.0, 2.0, crs_state_for_bit(0, P), P)
+    for name, amplitude, rate in (("rate", 2.0, math.nan),
+                                  ("rate", 2.0, math.inf),
+                                  ("amplitude", math.nan, 2.0)):
+        with pytest.raises(ValueError, match=name):
+            sweep_iv_crs(amplitude, rate, crs_state_for_bit(0, P), P)
     for frac in (0.0, 1.0, 2.0, -1.0, math.nan):
         with pytest.raises(ValueError):
             sweep_iv_crs(2.0, 2.0, crs_state_for_bit(0, P), P, frac=frac)

@@ -374,6 +374,12 @@ def test_sweep_rejects_bad_arguments():
         sweep_iv_unit(1.5, -1.0, EcmState(P.l), P)
     with pytest.raises(ValueError):
         sweep_iv_unit(1.5, 2.0, EcmState(P.l), P, n_samples=0)
+    for name, amplitude, rate in (("rate", 1.5, math.nan),
+                                  ("rate", 1.5, math.inf),
+                                  ("amplitude", math.nan, 2.0),
+                                  ("amplitude", math.inf, 2.0)):
+        with pytest.raises(ValueError, match=name):
+            sweep_iv_unit(amplitude, rate, EcmState(P.l), P)
 
 
 # ----------------------------------------------------------------------

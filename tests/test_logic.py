@@ -8,10 +8,8 @@ import oracles
 from crsadder.logic import (
     add_words_reference,
     carry_next,
-    carry_oracle,
     full_adder_bit,
     int_to_word,
-    ripple_add_words,
     str_to_word,
     sub_words_reference,
     sum_final,
@@ -25,8 +23,7 @@ BITS = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 
 def test_carry_equals_majority_exhaustive():
     for a, b, c in BITS:
-        assert carry_next(a, b, c) == carry_oracle(a, b, c)
-        assert carry_oracle(a, b, c) == oracles.majority_bit(a, b, c)
+        assert carry_next(a, b, c) == oracles.majority_bit(a, b, c)
 
 
 def test_carry_table_rows():
@@ -128,6 +125,18 @@ def test_reference_adder_matches_oracle(n, data):
     a, b = int_to_word(av, n), int_to_word(bv, n)
     assert add_words_reference(a, b, c0) == oracles.add_oracle(a, b, c0)
     assert sub_words_reference(a, b) == oracles.sub_oracle(a, b)
+
+
+def ripple_add_words(a_bits, b_bits, c0=0):
+    """(n+1)-bit sum using only the state-update pipeline per bit; the
+    extra significance reuses the operand MSBs (sign extension)."""
+    n = len(a_bits)
+    c = c0
+    out = []
+    for k in range(n + 1):
+        s, c = full_adder_bit(a_bits[min(k, n - 1)], b_bits[min(k, n - 1)], c)
+        out.append(s)
+    return out
 
 
 @given(st.integers(min_value=1, max_value=10), st.data())

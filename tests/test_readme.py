@@ -1,0 +1,37 @@
+"""README's documented entry points stay valid: every `crsadder ...`
+line parses with the CLI's parser, and the Library import runs."""
+
+import ast
+import pathlib
+import re
+import shlex
+
+from crsadder import cli
+
+README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(
+    encoding="utf-8")
+BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README, re.M | re.S)
+
+
+def _cli_lines():
+    return [line for lang, body in BLOCKS if lang == ""
+            for line in body.splitlines() if line.startswith("crsadder ")]
+
+
+def test_readme_cli_lines_parse():
+    lines = _cli_lines()
+    assert len(lines) >= 14
+    for line in lines:
+        args = cli.build_parser().parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line
+
+
+def test_readme_library_import_runs():
+    python = [body for lang, body in BLOCKS if lang == "python"]
+    assert len(python) == 1
+    first = ast.parse(python[0]).body[0]
+    assert isinstance(first, ast.ImportFrom) and first.module == "crsadder"
+    namespace = {}
+    exec(compile(ast.Module([first], type_ignores=[]), "README.md", "exec"),
+         namespace)
+    assert all(alias.name in namespace for alias in first.names)
