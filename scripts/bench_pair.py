@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Paired perfbench runs of a parent ref against the working tree.
 
-Checks the parent ref out into a temporary git worktree, then runs
-perfbench/run.py in both trees for every workload of BENCHMARK.json,
-seed by seed, for the run length BENCHMARK.json sets, alternating which
-side runs first (even pair index: parent first).  Writes every run, the
-per-metric medians and quartiles of each side and one traced run
-(--trace 1, seed 1) per side and workload to a BENCH_<n>.json file:
+Exports the parent ref into a temporary directory (git archive | tar
+-x; nothing under .git is written, and a killed run leaves no worktree
+registered), then runs perfbench/run.py in both trees for every
+workload of BENCHMARK.json, seed by seed, for the run length
+BENCHMARK.json sets, alternating which side runs first (even pair
+index: parent first).  Writes every run, the per-metric medians and
+quartiles of each side and one traced run (--trace 1, seed 1) per side
+and workload to a BENCH_<n>.json file:
 
     python3 scripts/bench_pair.py --parent HEAD --out BENCH_5.json \\
         --seeds 21-30
@@ -40,8 +42,8 @@ def parse_seeds(spec):
     return seeds
 
 
-def git(*args, cwd=ROOT):
-    return subprocess.run(["git", *args], cwd=cwd, check=True,
+def git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
                           capture_output=True, text=True).stdout.strip()
 
 
@@ -130,39 +132,40 @@ def main(argv=None):
     }
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
         parent_tree = os.path.join(tmp, "parent")
-        git("worktree", "add", "--detach", parent_tree, sha)
+        os.mkdir(parent_tree)
+        archive = subprocess.run(["git", "archive", sha], cwd=ROOT,
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", parent_tree], input=archive,
+                       check=True)
         trees = {"parent": parent_tree, "change": ROOT}
-        try:
-            for name in workloads:
-                runs = []
-                entry = doc["end_to_end"][name] = {"runs": runs}
-                for i, seed in enumerate(args.seeds):
-                    order = ("parent", "change") if i % 2 == 0 \
-                        else ("change", "parent")
-                    for side in order:
-                        print(f"bench_pair: {name} seed {seed} {side}",
-                              file=sys.stderr, flush=True)
-                        res = perfbench(trees[side], name, seed, seconds, 0)
-                        row = {"side": side, "seed": seed,
-                               "ran_first": side == order[0]}
-                        row.update(flat(res))
-                        runs.append(row)
-                    entry["summary"] = summarize(runs, better)
-                    entry["failed"] = {
-                        s: sum(r["failed"] for r in runs if r["side"] == s)
-                        for s in trees}
-                    write(args.out, doc)
-            traced = doc[f"traced_seed{TRACE_SEED}"] = {}
-            for name in workloads:
-                traced[name] = {}
-                for side in trees:
-                    print(f"bench_pair: {name} traced {side}",
+        for name in workloads:
+            runs = []
+            entry = doc["end_to_end"][name] = {"runs": runs}
+            for i, seed in enumerate(args.seeds):
+                order = ("parent", "change") if i % 2 == 0 \
+                    else ("change", "parent")
+                for side in order:
+                    print(f"bench_pair: {name} seed {seed} {side}",
                           file=sys.stderr, flush=True)
-                    traced[name][side] = flat(perfbench(
-                        trees[side], name, TRACE_SEED, seconds, 1))
-                    write(args.out, doc)
-        finally:
-            git("worktree", "remove", "--force", parent_tree)
+                    res = perfbench(trees[side], name, seed, seconds, 0)
+                    row = {"side": side, "seed": seed,
+                           "ran_first": side == order[0]}
+                    row.update(flat(res))
+                    runs.append(row)
+                entry["summary"] = summarize(runs, better)
+                entry["failed"] = {
+                    s: sum(r["failed"] for r in runs if r["side"] == s)
+                    for s in trees}
+                write(args.out, doc)
+        traced = doc[f"traced_seed{TRACE_SEED}"] = {}
+        for name in workloads:
+            traced[name] = {}
+            for side in trees:
+                print(f"bench_pair: {name} traced {side}",
+                      file=sys.stderr, flush=True)
+                traced[name][side] = flat(perfbench(
+                    trees[side], name, TRACE_SEED, seconds, 1))
+                write(args.out, doc)
     write(args.out, doc)
     return 0
 

@@ -71,12 +71,6 @@ class UsageError(ValueError):
     pass
 
 
-def _load_params(args):
-    if args.params:
-        return ecm.load_params(args.params)
-    return EcmParams()
-
-
 def _outpath(args, name):
     os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, name)
@@ -87,7 +81,7 @@ def _outpath(args, name):
 # ----------------------------------------------------------------------
 
 def cmd_sweep(args):
-    p = _load_params(args)
+    p = args.params
     landmarks = {"v_set": None, "v_reset": None, "v_th1": None,
                  "v_th2": None, "v_th3": None, "v_th4": None}
     if args.device == "unit":
@@ -163,7 +157,7 @@ def _calibrated_pulse(args, p, reuse=True):
 
 
 def cmd_calibrate(args):
-    p = _load_params(args)
+    p = args.params
     pp, path, cached = _calibrated_pulse(args, p, reuse=not args.force)
     print(f"{'loaded' if cached else 'wrote'} {path}")
     print(f"v_w={pp.v_w:.6g} V  t_pulse={pp.t_pulse:.6g} s  "
@@ -192,9 +186,8 @@ def cmd_adder(args):
     if args.level == "behavioral":
         trace = run_behavioral(prog, a_bits, b_bits, args.c0)
     else:
-        p = _load_params(args)
-        pp, _, _ = _calibrated_pulse(args, p)
-        trace = run_device(prog, a_bits, b_bits, args.c0, pp=pp, ep=p)
+        pp, _, _ = _calibrated_pulse(args, args.params)
+        trace = run_device(prog, a_bits, b_bits, args.c0, pp, args.params)
         write_trace_csv(trace, _outpath(
             args, f"adder_{args.scheme}_trace.csv"))
     write_states_csv(trace, _outpath(args, f"adder_{args.scheme}_states.csv"))
@@ -340,6 +333,8 @@ def main(argv=None):
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:
+        args.params = (ecm.load_params(args.params) if args.params
+                       else EcmParams())
         return args.func(args)
     except (ValueError, OSError) as e:   # UsageError included
         print(f"error: {e}", file=sys.stderr)

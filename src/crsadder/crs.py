@@ -191,11 +191,34 @@ def solve_crs_divider(v_w, v_b, x_top, x_bot, p, vm_guess=None):
         f"x_top={x_top:.6g} m, x_bot={x_bot:.6g} m", f)
 
 
+class _PairSolve:
+    """The pair's divider at one applied voltage, as ecm.march's solve.
+
+    Splits v_applied +v/2 on wl, -v/2 on bl once, warm-starts from the
+    last v_m, keeps the peak |j| and solves a gap pair only when it
+    differs from the last one; at(xs) is the divider's result there.
+    """
+
+    def __init__(self, v_applied, p):
+        self.v_w, self.v_b, self.p = 0.5 * v_applied, -0.5 * v_applied, p
+        self.peak, self.xs, self.last = 0.0, None, None
+
+    def at(self, xs):
+        if xs != self.xs:
+            vm = self.last[0] if self.last else None
+            self.last = solve_crs_divider(self.v_w, self.v_b, *xs, self.p,
+                                          vm_guess=vm)
+            self.xs = xs
+            self.peak = max(self.peak, abs(self.last[1]))
+        return self.last
+
+    def __call__(self, xs):
+        return self.at(xs)[2:]
+
+
 def series_current(v_applied, s, p):
     """Terminal current through the pair at a given applied voltage."""
-    v_w, v_b = 0.5 * v_applied, -0.5 * v_applied
-    _, j, _, _ = solve_crs_divider(v_w, v_b, s.top.x, s.bottom.x, p)
-    return j
+    return _PairSolve(v_applied, p).at((s.top.x, s.bottom.x))[1]
 
 
 # ======================================================================
@@ -214,7 +237,9 @@ def step_crs_transient(s, v_applied, dt, p):
     voltage.  Substeps shrink whenever either gap would move more than
     CRS_MOTION_LIMIT of the span.
     """
-    return _march_crs(s, v_applied, dt, p, None)[0]
+    x_t, x_b = march((s.top.x, s.bottom.x), _PairSolve(v_applied, p), dt,
+                     p, None, CRS_MOTION_LIMIT)
+    return CrsDeviceState(EcmState(x_t), EcmState(x_b))
 
 
 def crs_pulse(s, v_applied, t_pulse, p, n_samples=60):
@@ -222,43 +247,23 @@ def crs_pulse(s, v_applied, t_pulse, p, n_samples=60):
 
     Returns (state_after, peak_abs_current, samples); samples are
     (t, v_m, j_series, x_top, x_bottom) rows, n_samples of them spread
-    evenly over the pulse.
+    evenly over the pulse.  Each gap pair is solved once: a sample row is
+    the divider solve that the next interval starts from.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
-    v_w, v_b = 0.5 * v_applied, -0.5 * v_applied
-    max_dt = t_pulse / PULSE_SUBSTEPS
+    solve = _PairSolve(v_applied, p)
+    max_dt, sample_dt = t_pulse / PULSE_SUBSTEPS, t_pulse / n_samples
+    x_t, x_b = s.top.x, s.bottom.x
     samples = []
-    state = s
-    peak = 0.0
     t = 0.0
-    sample_dt = t_pulse / n_samples
     for _ in range(n_samples):
-        state, pk, vm = _march_crs(state, v_applied, sample_dt, p, max_dt)
-        # sample row at the end of the marched interval
-        vm, j, _, _ = solve_crs_divider(v_w, v_b, state.top.x,
-                                        state.bottom.x, p, vm_guess=vm)
-        peak = max(peak, pk, abs(j))
+        x_t, x_b = march((x_t, x_b), solve, sample_dt, p, max_dt,
+                         CRS_MOTION_LIMIT)
+        vm, j, _, _ = solve.at((x_t, x_b))
         t += sample_dt
-        samples.append((t, vm, j, state.top.x, state.bottom.x))
-    return state, peak, samples
-
-
-def _march_crs(s, v_applied, dt, p, max_dt):
-    """Two-cell march on the divider's cell solutions; returns
-    (state, peak |j| over the substeps, last v_m)."""
-    v_w, v_b = 0.5 * v_applied, -0.5 * v_applied
-    vm, peak = None, 0.0
-
-    def solve(xs):
-        nonlocal vm, peak
-        vm, j, sol_t, sol_b = solve_crs_divider(v_w, v_b, *xs, p, vm_guess=vm)
-        peak = max(peak, abs(j))
-        return sol_t, sol_b
-
-    x_t, x_b = march((s.top.x, s.bottom.x), solve, dt, p, max_dt,
-                     CRS_MOTION_LIMIT)
-    return CrsDeviceState(EcmState(x_t), EcmState(x_b)), peak, vm
+        samples.append((t, vm, j, x_t, x_b))
+    return CrsDeviceState(EcmState(x_t), EcmState(x_b)), solve.peak, samples
 
 
 # ======================================================================

@@ -108,13 +108,20 @@ def test_adder_mismatch_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_missing_params_file_is_usage_error(tmp_path, capsys):
-    rc = run_cli("--params", str(tmp_path / "absent.params"), "--out",
-                 str(tmp_path), "adder", "--scheme", "pc", "--a", "01",
-                 "--b", "01", "--level", "device")
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "absent.params" in err
-    assert len(err.splitlines()) == 1
+    # the file is read before any command runs, so commands that never
+    # use the cell parameters report it too
+    for command in (
+            ("adder", "--scheme", "pc", "--a", "01", "--b", "01",
+             "--level", "device"),
+            ("adder", "--scheme", "pc", "--a", "01", "--b", "01"),
+            ("emit", "--scheme", "pc", "--n", "1"),
+            ("compare", "--n-max", "1")):
+        rc = run_cli("--params", str(tmp_path / "absent.params"), "--out",
+                     str(tmp_path), *command)
+        assert rc == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "absent.params" in err
+        assert len(err.splitlines()) == 1
 
 
 def test_uncreatable_out_dir_is_usage_error(tmp_path, capsys):

@@ -233,6 +233,25 @@ def test_half_select_holds_state(bit, sign):
     assert drift < SPAN / 100.0
 
 
+@pytest.mark.parametrize("bit, v", [
+    (0, V_W),        # read of ZERO: spikes through ON
+    (1, V_W),        # read of ONE: quiet, pinned at the rails
+    (0, -V_W / 2),   # half-select that pins ZERO at the rails
+])
+def test_pulse_solves_each_gap_pair_once(monkeypatch, bit, v):
+    calls = []
+    solve = crs.solve_crs_divider
+
+    def recording(v_w, v_b, x_top, x_bot, p, vm_guess=None):
+        calls.append((v_w, v_b, x_top, x_bot))
+        return solve(v_w, v_b, x_top, x_bot, p, vm_guess=vm_guess)
+
+    monkeypatch.setattr(crs, "solve_crs_divider", recording)
+    crs_pulse(crs_state_for_bit(bit, P), v, T_PULSE, P, n_samples=40)
+    assert calls
+    assert all(a != b for a, b in zip(calls, calls[1:]))
+
+
 @pytest.mark.parametrize("dt", [0.0, -1e-6])
 def test_pair_transient_requires_positive_duration(dt):
     s0 = crs_state_for_bit(0, P)
