@@ -19,6 +19,10 @@ half (the calibration margin makes half a window sufficient to switch).
 
 Wires are ideal: line potentials reach every cell unattenuated, so cells
 decouple and each advances independently under its own applied voltage.
+A pulse is therefore a pure function of its inputs (the two gaps, the
+voltage, the width, the sample count and the cell parameters), and the
+device backend computes each distinct pulse once, in a table that callers
+may share across runs.
 """
 
 from __future__ import annotations
@@ -251,8 +255,8 @@ class _PairCells:
     gaps, and waveform samples cover each pulse window.
     """
 
-    def __init__(self, p, pp, ep):
-        self.pp, self.ep = pp, ep
+    def __init__(self, p, pp, ep, pulses):
+        self.pp, self.ep, self.pulses = pp, ep, pulses
         self.states = {str(c): crs_state_for_bit(0, ep) for c in p.used_cells}
         on_bl = {}
         for c in p.used_cells:
@@ -270,6 +274,15 @@ class _PairCells:
             return 0.0
         return 0.5 * self.pp.v_w if level == 1 else -0.5 * self.pp.v_w
 
+    def _pulse(self, s, v, dur, n):
+        """crs_pulse(s, v, dur, ep, n_samples=n), each distinct one once."""
+        key = (self.ep, s.top.x, s.bottom.x, v, dur, n)
+        got = self.pulses.get(key)
+        if got is None:
+            got = self.pulses[key] = crs_pulse(s, v, dur, self.ep,
+                                               n_samples=n)
+        return got
+
     def _verdict(self, peak):
         spike = peak > self.pp.i_spike
         return (0 if spike else 1), spike, peak
@@ -285,9 +298,8 @@ class _PairCells:
                 t0 += dur
         waves, peaks = {}, {}
         for key, w, b in pairs:
-            self.states[key], peaks[key], waves[key] = crs_pulse(
-                self.states[key], self._volts(w) - self._volts(b), dur,
-                self.ep, n_samples=n)
+            self.states[key], peaks[key], waves[key] = self._pulse(
+                self.states[key], self._volts(w) - self._volts(b), dur, n)
         v_wl = [self._volts(wls[k]) if k in wls else 0.0
                 for k in self.wl_keys]
         for j in range(n):
@@ -306,10 +318,10 @@ class _PairCells:
     def read(self, key):
         """Destructive read: a full write-ONE pulse that spikes iff the
         cell held ZERO; returns (bit, spike, peak)."""
-        pp, ep = self.pp, self.ep
-        s, peak, _ = crs_pulse(self.states[key], pp.v_w, pp.t_pulse, ep,
-                               n_samples=pp.samples_per_pulse)
-        if decode_state(s, ep.gap_midpoint()) is not CrsLogicState.ONE:
+        pp = self.pp
+        s, peak, _ = self._pulse(self.states[key], pp.v_w, pp.t_pulse,
+                                 pp.samples_per_pulse)
+        if decode_state(s, self.ep.gap_midpoint()) is not CrsLogicState.ONE:
             raise ExecutionError("read did not leave the cell at ONE")
         self.states[key] = s
         return self._verdict(peak)
@@ -326,11 +338,17 @@ def run_behavioral(p, a_bits, b_bits, c0=0):
     return ExecTrace("behavioral", p.scheme, p.n, steps, reads, result)
 
 
-def run_device(p, a_bits, b_bits, c0=0, pp=None, ep=None):
-    """Execute as pulse waveforms over ECM pairs; returns an ExecTrace."""
+def run_device(p, a_bits, b_bits, c0=0, pp=None, ep=None, pulses=None):
+    """Execute as pulse waveforms over ECM pairs; returns an ExecTrace.
+
+    pulses is the pulse table: None gives the run a fresh one; a dict
+    passed in is read and filled, so runs that share it compute each
+    distinct pulse once between them.  Keys hold the cell parameters,
+    so one table serves any mix of cells.
+    """
     if pp is None or ep is None:
         raise ExecutionError("device level needs pulse and cell parameters")
-    cells = _PairCells(p, pp, ep)
+    cells = _PairCells(p, pp, ep, {} if pulses is None else pulses)
     steps, reads, result = _interpret(p, a_bits, b_bits, c0, cells)
     return ExecTrace("device", p.scheme, p.n, steps, reads, result,
                      tuple(cells.samples), cells.columns)

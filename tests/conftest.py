@@ -35,16 +35,17 @@ def device_matrix(params, pulse):
     """Device-level traces for both schemes over all 2-bit operand pairs.
 
     Shared across the cross-level, half-select and flagship tests; the
-    32 physics runs dominate suite runtime so they happen exactly once.
+    32 runs share one pulse table, so each distinct pulse is computed
+    once between them.
     """
-    out = {}
+    out, pulses = {}, {}
     for scheme, gen in (("pc", gen_pc_adder), ("tc", gen_tc_adder)):
         prog = gen(2)
         for av in range(4):
             for bv in range(4):
                 a, b = _bits(av, 2), _bits(bv, 2)
                 out[(scheme, av, bv)] = run_device(
-                    prog, a, b, 0, pp=pulse, ep=params)
+                    prog, a, b, 0, pp=pulse, ep=params, pulses=pulses)
     return out
 
 

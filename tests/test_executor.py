@@ -9,8 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from crsadder.crs import CrsLogicState, crs_state_for_bit, decode_state
-from crsadder.ecm import EcmParams
+from crsadder import executor
+from crsadder.crs import (
+    CrsDeviceState,
+    CrsLogicState,
+    crs_pulse,
+    crs_state_for_bit,
+    decode_state,
+)
+from crsadder.ecm import EcmParams, EcmState
 from crsadder.executor import (
     CalibrationError,
     ExecutionError,
@@ -152,7 +159,7 @@ def test_readout_behavioral_cases():
 
 
 def test_readout_device_cases(params, pulse):
-    cells, key = _one_cell(_PairCells, pulse, params)
+    cells, key = _one_cell(_PairCells, pulse, params, {})
     cells.states[key] = crs_state_for_bit(0, params)
     bit0, spike0, _ = cells.read(key)
     assert (bit0, spike0) == (0, True)
@@ -167,7 +174,7 @@ def test_readout_device_cases(params, pulse):
 
 
 def test_readout_twice_always_one(params, pulse):
-    cells, key = _one_cell(_PairCells, pulse, params)
+    cells, key = _one_cell(_PairCells, pulse, params, {})
     cells.states[key] = crs_state_for_bit(0, params)
     cells.read(key)
     bit, spike, _ = cells.read(key)
@@ -229,7 +236,6 @@ def test_calibration_postconditions(params, pulse):
     for bit in (0, 1):
         for sign in (1, -1):
             s0 = crs_state_for_bit(bit, params)
-            from crsadder.crs import crs_pulse
             s1, _, _ = crs_pulse(s0, sign * pulse.v_w / 2, pulse.t_pulse,
                                  params, n_samples=20)
             assert str(decode_state(s1, params.gap_midpoint())) == str(bit)
@@ -239,7 +245,6 @@ def test_calibration_postconditions(params, pulse):
 
 
 def test_calibration_spike_threshold_separation(params, pulse):
-    from crsadder.crs import crs_pulse
     _, peak_spike, _ = crs_pulse(crs_state_for_bit(0, params), pulse.v_w,
                                  pulse.t_pulse, params, n_samples=40)
     _, peak_quiet, _ = crs_pulse(crs_state_for_bit(1, params), pulse.v_w,
@@ -355,6 +360,105 @@ def test_device_waveform_columns(device_matrix):
     times = [row[0] for row in tr.samples]
     assert times == sorted(times)
     assert len(tr.samples) > 0
+
+
+# ----------------------------------------------------------------------
+# pulse table
+# ----------------------------------------------------------------------
+
+KINDS = [(gen, subtract) for gen in (gen_pc_adder, gen_tc_adder)
+         for subtract in (False, True)]
+
+
+def test_pulse_table_is_exact(params, pulse, monkeypatch):
+    """Every table entry is the pulse crs_pulse computes for its key;
+    crs_pulse runs only on a miss; a warmed table changes no trace."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return crs_pulse(*args, **kwargs)
+
+    monkeypatch.setattr(executor, "crs_pulse", counted)
+    warm = {}
+    for gen, subtract in KINDS:
+        run_device(gen(2, subtract=subtract), [1, 1], [0, 1], 0,
+                   pp=pulse, ep=params, pulses=warm)
+    for (gen, subtract), (av, bv) in zip(KINDS, ((1, 1), (2, 3), (0, 1),
+                                                 (3, 0))):
+        prog, a, b = gen(2, subtract=subtract), bits(av, 2), bits(bv, 2)
+        table, before = {}, len(calls)
+        fresh = run_device(prog, a, b, 0, pp=pulse, ep=params, pulses=table)
+        assert len(calls) - before == len(table)
+        for (ep, x_top, x_bottom, v, dur, n), got in table.items():
+            assert ep == params
+            s0 = CrsDeviceState(EcmState(x_top), EcmState(x_bottom))
+            assert crs_pulse(s0, v, dur, ep, n_samples=n) == got
+        hits = table.keys() & warm.keys()
+        assert hits
+        before = len(calls)
+        assert run_device(prog, a, b, 0, pp=pulse, ep=params,
+                          pulses=warm) == fresh
+        assert len(calls) - before == len(table.keys() - hits)
+        assert table.keys() <= warm.keys()
+
+
+def test_pulse_table_signed_zero_volts(params, pulse):
+    table = {}
+    cells, _ = _one_cell(_PairCells, pulse, params, table)
+    s0 = crs_state_for_bit(0, params)
+    plus = cells._pulse(s0, 0.0, pulse.t_pulse, 4)
+    minus = cells._pulse(s0, -0.0, pulse.t_pulse, 4)
+    assert len(table) == 1 and minus is plus
+    assert crs_pulse(s0, -0.0, pulse.t_pulse, params, n_samples=4) == plus
+
+
+def test_pulse_table_keys_on_cell_params(params, pulse):
+    faster = dataclasses.replace(params, j0=1.05 * params.j0)
+    prog, shared = gen_pc_adder(2), {}
+    traces = {}
+    for ep in (params, faster):
+        traces[ep] = run_device(prog, [1, 0], [1, 0], 0, pp=pulse, ep=ep,
+                                pulses=shared)
+    assert traces[params] != traces[faster]
+    for ep in (params, faster):
+        assert traces[ep] == run_device(prog, [1, 0], [1, 0], 0, pp=pulse,
+                                        ep=ep)
+
+
+@pytest.fixture(scope="module")
+def n3_pulses():
+    return {}
+
+
+@pytest.mark.parametrize("gen,subtract", KINDS)
+def test_device_equals_behavioral_exhaustive_n3(params, pulse, n3_pulses,
+                                               gen, subtract):
+    """Every 3-bit operand pair, all four kinds on one pulse table: result
+    bits against the oracle; per-step decoded states, line levels and
+    step-read verdicts against the behavioral run."""
+    prog = gen(3, subtract=subtract)
+    n_steps = len(prog.steps)
+    for av in range(8):
+        for bv in range(8):
+            a, b = bits(av, 3), bits(bv, 3)
+            dev = run_device(prog, a, b, 0, pp=pulse, ep=params,
+                             pulses=n3_pulses)
+            beh = run_behavioral(prog, a, b, 0)
+            want = oracles.sub_oracle(a, b) if subtract \
+                else oracles.add_oracle(a, b, 0)
+            assert list(dev.result_bits) == want, (av, bv)
+            assert len(dev.steps) == len(beh.steps) == n_steps
+            for d, h in zip(dev.steps, beh.steps):
+                assert d.cell_states == {c: str(v) for c, v
+                                         in h.cell_states.items()}, \
+                    (av, bv, d.index)
+                assert (d.wl_levels, d.bl_levels) \
+                    == (h.wl_levels, h.bl_levels), (av, bv, d.index)
+            dev_v, beh_v = ([(r.step_index, r.cell, r.latch, r.spike, r.bit)
+                             for r in tr.reads if r.step_index < n_steps]
+                            for tr in (dev, beh))
+            assert dev_v == beh_v, (av, bv)
 
 
 def test_trace_files_roundtrip(tmp_path, device_matrix):
