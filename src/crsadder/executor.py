@@ -20,9 +20,8 @@ half (the calibration margin makes half a window sufficient to switch).
 Wires are ideal: line potentials reach every cell unattenuated, so cells
 decouple and each advances independently under its own applied voltage.
 A pulse is therefore a pure function of its inputs (the two gaps, the
-voltage, the width, the sample count and the cell parameters), and the
-device backend computes each distinct pulse once, in a table that callers
-may share across runs.
+voltage, the width, the sample count and the cell parameters), and a
+device run computes each distinct pulse once.
 """
 
 from __future__ import annotations
@@ -255,8 +254,9 @@ class _PairCells:
     gaps, and waveform samples cover each pulse window.
     """
 
-    def __init__(self, p, pp, ep, pulses):
-        self.pp, self.ep, self.pulses = pp, ep, pulses
+    def __init__(self, p, pp, ep):
+        self.pp, self.ep = pp, ep
+        self.pulses = {}
         self.states = {str(c): crs_state_for_bit(0, ep) for c in p.used_cells}
         on_bl = {}
         for c in p.used_cells:
@@ -276,7 +276,7 @@ class _PairCells:
 
     def _pulse(self, s, v, dur, n):
         """crs_pulse(s, v, dur, ep, n_samples=n), each distinct one once."""
-        key = (self.ep, s.top.x, s.bottom.x, v, dur, n)
+        key = (s.top.x, s.bottom.x, v, dur, n)
         got = self.pulses.get(key)
         if got is None:
             got = self.pulses[key] = crs_pulse(s, v, dur, self.ep,
@@ -338,17 +338,11 @@ def run_behavioral(p, a_bits, b_bits, c0=0):
     return ExecTrace("behavioral", p.scheme, p.n, steps, reads, result)
 
 
-def run_device(p, a_bits, b_bits, c0=0, pp=None, ep=None, pulses=None):
-    """Execute as pulse waveforms over ECM pairs; returns an ExecTrace.
-
-    pulses is the pulse table: None gives the run a fresh one; a dict
-    passed in is read and filled, so runs that share it compute each
-    distinct pulse once between them.  Keys hold the cell parameters,
-    so one table serves any mix of cells.
-    """
+def run_device(p, a_bits, b_bits, c0=0, pp=None, ep=None):
+    """Execute as pulse waveforms over ECM pairs; returns an ExecTrace."""
     if pp is None or ep is None:
         raise ExecutionError("device level needs pulse and cell parameters")
-    cells = _PairCells(p, pp, ep, {} if pulses is None else pulses)
+    cells = _PairCells(p, pp, ep)
     steps, reads, result = _interpret(p, a_bits, b_bits, c0, cells)
     return ExecTrace("device", p.scheme, p.n, steps, reads, result,
                      tuple(cells.samples), cells.columns)

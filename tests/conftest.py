@@ -1,14 +1,18 @@
+import functools
+
 import pytest
 from hypothesis import HealthCheck, settings
 
 from crsadder import (
     EcmParams,
     calibrate_pulse,
+    executor,
     gen_pc_adder,
     gen_tc_adder,
     run_behavioral,
     run_device,
 )
+from crsadder.crs import crs_pulse
 
 settings.register_profile(
     "suite", max_examples=60, deadline=None,
@@ -31,21 +35,30 @@ def _bits(value, n):
 
 
 @pytest.fixture(scope="session")
-def device_matrix(params, pulse):
+def cached_crs_pulse():
+    """crs_pulse memoized across runs, for tests that patch it into the
+    executor: a pulse is a pure function of its (frozen) inputs, so many
+    device runs then compute each distinct pulse once between them."""
+    return functools.cache(crs_pulse)
+
+
+@pytest.fixture(scope="session")
+def device_matrix(params, pulse, cached_crs_pulse):
     """Device-level traces for both schemes over all 2-bit operand pairs.
 
     Shared across the cross-level, half-select and flagship tests; the
-    32 runs share one pulse table, so each distinct pulse is computed
-    once between them.
+    32 runs share memoized pulses.
     """
-    out, pulses = {}, {}
-    for scheme, gen in (("pc", gen_pc_adder), ("tc", gen_tc_adder)):
-        prog = gen(2)
-        for av in range(4):
-            for bv in range(4):
-                a, b = _bits(av, 2), _bits(bv, 2)
-                out[(scheme, av, bv)] = run_device(
-                    prog, a, b, 0, pp=pulse, ep=params, pulses=pulses)
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(executor, "crs_pulse", cached_crs_pulse)
+        for scheme, gen in (("pc", gen_pc_adder), ("tc", gen_tc_adder)):
+            prog = gen(2)
+            for av in range(4):
+                for bv in range(4):
+                    a, b = _bits(av, 2), _bits(bv, 2)
+                    out[(scheme, av, bv)] = run_device(
+                        prog, a, b, 0, pp=pulse, ep=params)
     return out
 
 

@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 import oracles
 from crsadder import executor
 from crsadder.crs import (
-    CrsDeviceState,
     CrsLogicState,
     crs_pulse,
     crs_state_for_bit,
     decode_state,
 )
-from crsadder.ecm import EcmParams, EcmState
+from crsadder.ecm import EcmParams
 from crsadder.executor import (
     CalibrationError,
     ExecutionError,
@@ -159,7 +158,7 @@ def test_readout_behavioral_cases():
 
 
 def test_readout_device_cases(params, pulse):
-    cells, key = _one_cell(_PairCells, pulse, params, {})
+    cells, key = _one_cell(_PairCells, pulse, params)
     cells.states[key] = crs_state_for_bit(0, params)
     bit0, spike0, _ = cells.read(key)
     assert (bit0, spike0) == (0, True)
@@ -174,7 +173,7 @@ def test_readout_device_cases(params, pulse):
 
 
 def test_readout_twice_always_one(params, pulse):
-    cells, key = _one_cell(_PairCells, pulse, params, {})
+    cells, key = _one_cell(_PairCells, pulse, params)
     cells.states[key] = crs_state_for_bit(0, params)
     cells.read(key)
     bit, spike, _ = cells.read(key)
@@ -370,80 +369,51 @@ KINDS = [(gen, subtract) for gen in (gen_pc_adder, gen_tc_adder)
          for subtract in (False, True)]
 
 
-def test_pulse_table_is_exact(params, pulse, monkeypatch):
-    """Every table entry is the pulse crs_pulse computes for its key;
-    crs_pulse runs only on a miss; a warmed table changes no trace."""
+def test_pulse_table_is_exact(params, pulse, cached_crs_pulse, monkeypatch):
+    """A device run calls crs_pulse once per distinct pulse, and its trace
+    equals the one that calls crs_pulse for every pulse, and the one on
+    pulses memoized across runs, as the shared fixtures use them."""
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return crs_pulse(*args, **kwargs)
+    def counted(s, v, dur, ep, n_samples):
+        calls.append((s, v, dur, ep, n_samples))
+        return crs_pulse(s, v, dur, ep, n_samples=n_samples)
 
-    monkeypatch.setattr(executor, "crs_pulse", counted)
-    warm = {}
-    for gen, subtract in KINDS:
-        run_device(gen(2, subtract=subtract), [1, 1], [0, 1], 0,
-                   pp=pulse, ep=params, pulses=warm)
+    def uncached(self, s, v, dur, n):
+        return executor.crs_pulse(s, v, dur, self.ep, n_samples=n)
+
     for (gen, subtract), (av, bv) in zip(KINDS, ((1, 1), (2, 3), (0, 1),
                                                  (3, 0))):
         prog, a, b = gen(2, subtract=subtract), bits(av, 2), bits(bv, 2)
-        table, before = {}, len(calls)
-        fresh = run_device(prog, a, b, 0, pp=pulse, ep=params, pulses=table)
-        assert len(calls) - before == len(table)
-        for (ep, x_top, x_bottom, v, dur, n), got in table.items():
-            assert ep == params
-            s0 = CrsDeviceState(EcmState(x_top), EcmState(x_bottom))
-            assert crs_pulse(s0, v, dur, ep, n_samples=n) == got
-        hits = table.keys() & warm.keys()
-        assert hits
-        before = len(calls)
-        assert run_device(prog, a, b, 0, pp=pulse, ep=params,
-                          pulses=warm) == fresh
-        assert len(calls) - before == len(table.keys() - hits)
-        assert table.keys() <= warm.keys()
-
-
-def test_pulse_table_signed_zero_volts(params, pulse):
-    table = {}
-    cells, _ = _one_cell(_PairCells, pulse, params, table)
-    s0 = crs_state_for_bit(0, params)
-    plus = cells._pulse(s0, 0.0, pulse.t_pulse, 4)
-    minus = cells._pulse(s0, -0.0, pulse.t_pulse, 4)
-    assert len(table) == 1 and minus is plus
-    assert crs_pulse(s0, -0.0, pulse.t_pulse, params, n_samples=4) == plus
-
-
-def test_pulse_table_keys_on_cell_params(params, pulse):
-    faster = dataclasses.replace(params, j0=1.05 * params.j0)
-    prog, shared = gen_pc_adder(2), {}
-    traces = {}
-    for ep in (params, faster):
-        traces[ep] = run_device(prog, [1, 0], [1, 0], 0, pp=pulse, ep=ep,
-                                pulses=shared)
-    assert traces[params] != traces[faster]
-    for ep in (params, faster):
-        assert traces[ep] == run_device(prog, [1, 0], [1, 0], 0, pp=pulse,
-                                        ep=ep)
-
-
-@pytest.fixture(scope="module")
-def n3_pulses():
-    return {}
+        monkeypatch.setattr(executor, "crs_pulse", counted)
+        calls.clear()
+        tabled = run_device(prog, a, b, 0, pp=pulse, ep=params)
+        computed = list(calls)
+        assert len(set(computed)) == len(computed)
+        with monkeypatch.context() as mp:
+            mp.setattr(_PairCells, "_pulse", uncached)
+            calls.clear()
+            assert run_device(prog, a, b, 0, pp=pulse, ep=params) == tabled
+            assert set(calls) == set(computed)
+            assert len(calls) > len(computed)
+        monkeypatch.setattr(executor, "crs_pulse", cached_crs_pulse)
+        assert run_device(prog, a, b, 0, pp=pulse, ep=params) == tabled
 
 
 @pytest.mark.parametrize("gen,subtract", KINDS)
-def test_device_equals_behavioral_exhaustive_n3(params, pulse, n3_pulses,
+def test_device_equals_behavioral_exhaustive_n3(params, pulse,
+                                               cached_crs_pulse, monkeypatch,
                                                gen, subtract):
-    """Every 3-bit operand pair, all four kinds on one pulse table: result
+    """Every 3-bit operand pair, all four kinds on memoized pulses: result
     bits against the oracle; per-step decoded states, line levels and
     step-read verdicts against the behavioral run."""
+    monkeypatch.setattr(executor, "crs_pulse", cached_crs_pulse)
     prog = gen(3, subtract=subtract)
     n_steps = len(prog.steps)
     for av in range(8):
         for bv in range(8):
             a, b = bits(av, 3), bits(bv, 3)
-            dev = run_device(prog, a, b, 0, pp=pulse, ep=params,
-                             pulses=n3_pulses)
+            dev = run_device(prog, a, b, 0, pp=pulse, ep=params)
             beh = run_behavioral(prog, a, b, 0)
             want = oracles.sub_oracle(a, b) if subtract \
                 else oracles.add_oracle(a, b, 0)
