@@ -63,7 +63,6 @@ from .microcode import (
     comparison_table,
     program_to_json,
     render_step_table,
-    validate_program,
 )
 
 
@@ -128,7 +127,6 @@ def _sidecar_pulse(path, fp, margin):
         if doc["params_fingerprint"] != fp or doc["target_margin"] != margin:
             return None
         return PulseParams(v_w=doc["v_w"], t_pulse=doc["t_pulse_s"],
-                           samples_per_pulse=doc["samples_per_pulse"],
                            i_spike=doc["i_spike_a"])
     except (FileNotFoundError, ValueError, KeyError, TypeError):
         return None
@@ -150,7 +148,6 @@ def _calibrated_pulse(args, p, reuse=True):
         "target_margin": args.margin,
         "v_w": pp.v_w,
         "t_pulse_s": pp.t_pulse,
-        "samples_per_pulse": pp.samples_per_pulse,
         "i_spike_a": pp.i_spike,
     })
     return pp, path, False
@@ -187,7 +184,8 @@ def cmd_adder(args):
         trace = run_behavioral(prog, a_bits, b_bits, args.c0)
     else:
         pp, _, _ = _calibrated_pulse(args, args.params)
-        trace = run_device(prog, a_bits, b_bits, args.c0, pp, args.params)
+        trace = run_device(prog, a_bits, b_bits, args.c0, pp=pp,
+                           ep=args.params)
         write_trace_csv(trace, _outpath(
             args, f"adder_{args.scheme}_trace.csv"))
     write_states_csv(trace, _outpath(args, f"adder_{args.scheme}_states.csv"))
@@ -212,10 +210,6 @@ def cmd_adder(args):
 
 def cmd_emit(args):
     prog = GENERATORS[args.scheme](args.n, subtract=args.subtract)
-    diags = validate_program(prog)
-    if diags:   # generator bug guard; unreachable in normal operation
-        print("\n".join(diags), file=sys.stderr)
-        return 3
     base = f"program_{args.scheme}_n{args.n}"
     json_path = _outpath(args, base + ".json")
     with open(json_path, "w", encoding="utf-8", newline="\n") as fh:

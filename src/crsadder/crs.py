@@ -68,19 +68,13 @@ class CrsThresholds:
 
     v_th1/v_th2 bound the conducting ON window on the positive branch,
     v_th3/v_th4 the mirrored window on the negative branch (v_th4 is the
-    more negative edge).  on_window_volts is the positive window width.
+    more negative edge).
     """
 
     v_th1: float | None
     v_th2: float | None
     v_th3: float | None
     v_th4: float | None
-
-    @property
-    def on_window_volts(self):
-        if self.v_th1 is None or self.v_th2 is None:
-            return None
-        return self.v_th2 - self.v_th1
 
 
 def fsm_next(z, wl, bl):
@@ -242,7 +236,7 @@ def step_crs_transient(s, v_applied, dt, p):
     return CrsDeviceState(EcmState(x_t), EcmState(x_b))
 
 
-def crs_pulse(s, v_applied, t_pulse, p, n_samples=60):
+def crs_pulse(s, v_applied, t_pulse, p, n_samples):
     """Apply one rectangular pulse; record the current waveform.
 
     Returns (state_after, peak_abs_current, samples); samples are

@@ -25,7 +25,7 @@ in grams; they cancel inside Faraday's law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 # CODATA 2018 exact values
 E_CHARGE = 1.602176634e-19   # C
@@ -145,11 +145,6 @@ def load_params(path):
     return EcmParams(**overrides)
 
 
-def save_params(p, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(params_text(p))
-
-
 def params_text(p):
     lines = [f"{name} = {getattr(p, name):.17g}" for name in PARAM_KEYS]
     return "\n".join(lines) + "\n"
@@ -200,11 +195,6 @@ def tunnel_conductance(x, p):
     if not math.isfinite(x) or x <= 0:
         raise ValueError(f"gap must be a positive finite length, got {x!r}")
     return p._tun_pref / x * math.exp(-p._tun_kappa * x)
-
-
-def tunnel_current(x, v_tu, p):
-    """Electron tunneling current across the gap; linear in v_tu."""
-    return tunnel_conductance(x, p) * v_tu
 
 
 def state_derivative(i_ion, p):

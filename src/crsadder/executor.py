@@ -39,9 +39,9 @@ from .crs import (
     fsm_next,
     step_crs_transient,
 )
-from .ecm import EcmParams, params_text
+from .ecm import params_text
 from .logic import word_to_str
-from .microcode import Program, validate_program
+from .microcode import validate_program
 
 
 class ExecutionError(RuntimeError):
@@ -57,21 +57,20 @@ class CalibrationError(RuntimeError):
         self.report = report
 
 
+SAMPLES_PER_PULSE = 40   # waveform samples over one device pulse window
+
+
 @dataclass(frozen=True)
 class PulseParams:
     v_w: float                    # full-select write amplitude, V
     t_pulse: float                # pulse width, s
-    samples_per_pulse: int = 40
-    i_spike: float = 1e-6         # read spike detection threshold, A
+    i_spike: float                # read spike detection threshold, A
 
     def __post_init__(self):
         if not all(0 < x < math.inf
                    for x in (self.v_w, self.t_pulse, self.i_spike)):
             raise ValueError("v_w, t_pulse and i_spike must be finite "
                              "and > 0")
-        if (not isinstance(self.samples_per_pulse, int)
-                or self.samples_per_pulse < 2):
-            raise ValueError("samples_per_pulse must be an integer >= 2")
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,8 @@ def _check_operands(p, a_bits, b_bits, c0):
 
 
 def _resolve(sig, a_bits, b_bits, c0, registers, forwards):
-    """Signal -> logic level: 0, 1 or the string 'ground'."""
+    """Signal -> logic level: 0, 1 or the string 'ground'.  The program
+    is validated first, so every register and forward it names is set."""
     k = sig.kind
     if k == "ground":
         return "ground"
@@ -143,16 +143,8 @@ def _resolve(sig, a_bits, b_bits, c0, registers, forwards):
     if k == "not_b":
         return 1 - b_bits[sig.index]
     if k == "reg":
-        if sig.name not in registers:
-            raise ExecutionError(f"register {sig.name!r} read before latch")
         return registers[sig.name]
-    if k == "read_fwd":
-        key = str(sig.source)
-        if key not in forwards:
-            raise ExecutionError(
-                f"forward from {sig.source} which is not read this cycle")
-        return forwards[key]
-    raise ExecutionError(f"unresolvable signal kind {k!r}")
+    return forwards[str(sig.source)]   # read_fwd
 
 
 def _interpret(p, a_bits, b_bits, c0, cells):
@@ -291,9 +283,9 @@ class _PairCells:
         """Pulse the biased cells over the whole window (half=None) or its
         first (0) or second (1) half; the reads judge this pulse's peaks."""
         pp = self.pp
-        dur, n, t0 = pp.t_pulse, pp.samples_per_pulse, self.t
+        dur, n, t0 = pp.t_pulse, SAMPLES_PER_PULSE, self.t
         if half is not None:
-            dur, n = 0.5 * pp.t_pulse, max(2, pp.samples_per_pulse // 2)
+            dur, n = 0.5 * pp.t_pulse, max(2, SAMPLES_PER_PULSE // 2)
             if half:
                 t0 += dur
         waves, peaks = {}, {}
@@ -320,7 +312,7 @@ class _PairCells:
         cell held ZERO; returns (bit, spike, peak)."""
         pp = self.pp
         s, peak, _ = self._pulse(self.states[key], pp.v_w, pp.t_pulse,
-                                 pp.samples_per_pulse)
+                                 SAMPLES_PER_PULSE)
         if decode_state(s, self.ep.gap_midpoint()) is not CrsLogicState.ONE:
             raise ExecutionError("read did not leave the cell at ONE")
         self.states[key] = s
@@ -338,10 +330,8 @@ def run_behavioral(p, a_bits, b_bits, c0=0):
     return ExecTrace("behavioral", p.scheme, p.n, steps, reads, result)
 
 
-def run_device(p, a_bits, b_bits, c0=0, pp=None, ep=None):
+def run_device(p, a_bits, b_bits, c0=0, *, pp, ep):
     """Execute as pulse waveforms over ECM pairs; returns an ExecTrace."""
-    if pp is None or ep is None:
-        raise ExecutionError("device level needs pulse and cell parameters")
     cells = _PairCells(p, pp, ep)
     steps, reads, result = _interpret(p, a_bits, b_bits, c0, cells)
     return ExecTrace("device", p.scheme, p.n, steps, reads, result,
@@ -400,6 +390,8 @@ def calibrate_pulse(ep, target_margin=100.0, v_seed=2.6):
     if not 1.0 < target_margin < math.inf:
         raise ValueError(f"target_margin must be finite and exceed 1, "
                          f"got {target_margin!r}")
+    if not 0.0 < v_seed < math.inf:
+        raise ValueError(f"v_seed must be finite and > 0, got {v_seed!r}")
     attempts = []
     v_w = v_seed
     for _ in range(6):

@@ -1,54 +1,12 @@
-"""Bit-level arithmetic built from the pair's state-update rule.
+"""Two's-complement word helpers and the integer references.
 
-Everything here manipulates plain 0/1 ints and two's-complement words;
-no device physics.  The update rule fsm_next(z, wl, bl) doubles as a
-majority gate and (chained) as an XOR, which is what makes ripple-carry
-addition in place possible:
-
-    carry:   fsm_next(c, a, NOT b)   equals majority(a, b, c)
-    sum:     fsm_next(fsm_next(c, a, b), b, carry_out)
-             equals a XOR b XOR c
-
-Both the carry update and the first sum update put a on the wordline,
-so a single applied signal pair drives them in the same cycle.
+Words are little-endian lists of 0/1 ints (index 0 = LSB); no device
+physics.  The references are what the in-memory schedules are checked
+against.
 """
 
 from __future__ import annotations
 
-from .crs import fsm_next
-
-
-def carry_next(a, b, c):
-    """Carry-out of a 1-bit full add, computed as one state update.
-
-    The cell holds c; the applied pair is (wl, bl) = (a, NOT b).
-    """
-    return fsm_next(c, a, 1 - b)
-
-
-def sum_intermediate(a, b, c):
-    """First of the two state updates producing the sum bit.
-
-    The cell holds c; the applied pair is (wl, bl) = (a, b).
-    """
-    return fsm_next(c, a, b)
-
-
-def sum_final(s_mid, b, c_next):
-    """Second state update: s_mid from sum_intermediate, then this."""
-    return fsm_next(s_mid, b, c_next)
-
-
-def full_adder_bit(a, b, c):
-    """(sum, carry) of one bit position via the state-update pipeline."""
-    c_out = carry_next(a, b, c)
-    s = sum_final(sum_intermediate(a, b, c), b, c_out)
-    return s, c_out
-
-
-# ----------------------------------------------------------------------
-# word helpers; words are little-endian bit lists (index 0 = LSB)
-# ----------------------------------------------------------------------
 
 def int_to_word(value, n):
     """Two's-complement little-endian bit list of width n."""

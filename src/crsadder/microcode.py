@@ -15,7 +15,12 @@ by an earlier read step).
 
 Two compilers are provided.  Both produce the sign-extended (n+1)-bit
 two's-complement sum of n-bit operands by running every sum cell through
-the carry chain in lockstep and peeling cell i off at step i:
+the carry chain in lockstep and peeling cell i off at step i.  Both
+rest on two identities of the pair's update rule z' = fsm_next(z, wl, bl)
+on a cell holding the carry c: (wl, bl) = (a, NOT b) leaves the carry-out
+majority(a, b, c), and (a, b) followed by (b, carry-out) leaves the sum
+a XOR b XOR c.  The carry update and the first sum update share the
+wordline a, so one "carry" step drives both; "sum2" is the second:
 
   precalculation scheme ("pc"): a second array of n+1 cells precomputes
   every carry; the finishing steps read carry i+1 and forward it into
@@ -33,8 +38,8 @@ import re
 from dataclasses import dataclass
 
 
-ANNOTATIONS = ("init_read", "program_c0", "carry", "sum1", "sum2",
-               "read", "writeback", "final_read")
+ANNOTATIONS = ("init_read", "program_c0", "carry", "sum2", "read",
+               "writeback")
 
 SCHEME_CYCLES = {"pc": lambda n: 2 * (n + 1) + 2,
                  "tc": lambda n: 4 * n + 5}
@@ -187,14 +192,6 @@ class Program:
     steps: tuple[Step, ...]
     result_cells: tuple[CellAddr, ...]   # significance order, n+1 cells
     used_cells: tuple[CellAddr, ...]
-
-    @property
-    def cycle_count(self):
-        return len(self.steps)
-
-    @property
-    def device_count(self):
-        return len(self.used_cells)
 
 
 # ======================================================================

@@ -3,16 +3,11 @@ import functools
 import pytest
 from hypothesis import HealthCheck, settings
 
-from crsadder import (
-    EcmParams,
-    calibrate_pulse,
-    executor,
-    gen_pc_adder,
-    gen_tc_adder,
-    run_behavioral,
-    run_device,
-)
+from crsadder import executor
 from crsadder.crs import crs_pulse
+from crsadder.ecm import EcmParams
+from crsadder.executor import calibrate_pulse, run_behavioral, run_device
+from crsadder.microcode import gen_pc_adder, gen_tc_adder
 
 settings.register_profile(
     "suite", max_examples=60, deadline=None,

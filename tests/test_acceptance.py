@@ -10,26 +10,20 @@ import random
 import re
 import time
 
-import pytest
-
-from crsadder import (
-    EcmState,
-    carry_next,
-    comparison_table,
+from crsadder.crs import (
     crs_state_for_bit,
     fsm_next,
-    gen_pc_adder,
-    gen_tc_adder,
+    series_current,
+    sweep_iv_crs,
+)
+from crsadder.ecm import EcmState, extract_unit_landmarks, sweep_iv_unit
+from crsadder.executor import (
+    _half_select_drift,
     run_behavioral,
     run_device,
-    series_current,
-    sum_final,
-    sum_intermediate,
-    sweep_iv_crs,
-    sweep_iv_unit,
-    extract_unit_landmarks,
+    time_to_flip,
 )
-from crsadder.executor import _half_select_drift, time_to_flip
+from crsadder.microcode import comparison_table, gen_pc_adder, gen_tc_adder
 
 from oracles import add_oracle, majority_bit
 
@@ -55,14 +49,16 @@ TRIPLES = list(itertools.product((0, 1), repeat=3))
 
 
 def test_criterion_01_carry_identity():
+    # the cell holds c; the applied pair is (wl, bl) = (a, NOT b)
     for a, b, c in TRIPLES:
-        assert carry_next(a, b, c) == majority_bit(a, b, c)
+        assert fsm_next(c, a, 1 - b) == majority_bit(a, b, c)
     _report(1, "carry update equals majority on all 8 triples")
 
 
 def test_criterion_02_sum_pipeline():
+    # (a, b), then (b, carry-out) on a cell that held c
     for a, b, c in TRIPLES:
-        s = sum_final(sum_intermediate(a, b, c), b, carry_next(a, b, c))
+        s = fsm_next(fsm_next(c, a, b), b, fsm_next(c, a, 1 - b))
         assert s == a ^ b ^ c
     _report(2, "two-stage sum update equals a XOR b XOR c on all 8 triples")
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from crsadder import cli
-from crsadder.ecm import EcmParams
+from crsadder.ecm import EcmParams, params_text
 from crsadder.executor import params_fingerprint
 from crsadder.microcode import gen_tc_adder, program_to_json
 
@@ -223,9 +223,8 @@ def test_sweep_determinism(tmp_path):
 
 
 def test_sweep_reads_params_file(tmp_path):
-    from crsadder.ecm import save_params
     pfile = tmp_path / "cell.params"
-    save_params(EcmParams(), pfile)
+    pfile.write_text(params_text(EcmParams()))
     rc = run_cli("--params", str(pfile), "--out", str(tmp_path), "sweep",
                  "--device", "unit", "--amplitude", "0.3",
                  "--samples", "300")
@@ -243,7 +242,6 @@ def _write_sidecar(dirpath, pp, params, **changes):
         "target_margin": 100.0,
         "v_w": pp.v_w,
         "t_pulse_s": pp.t_pulse,
-        "samples_per_pulse": pp.samples_per_pulse,
         "i_spike_a": pp.i_spike,
         **changes,
     }
@@ -263,8 +261,10 @@ def test_calibrate_writes_and_reuses_sidecar(tmp_path, capsys, params,
 
 def test_calibrate_loads_legacy_sidecar_with_settle_time(tmp_path, capsys,
                                                         params, pulse):
-    # sidecars written before the settle time was dropped carry t_gap_s
-    _write_sidecar(tmp_path, pulse, params, t_gap_s=0.0)
+    # sidecars written before the settle time was dropped carry t_gap_s,
+    # and those written before the sample count became a constant carry
+    # samples_per_pulse; both keys are ignored
+    _write_sidecar(tmp_path, pulse, params, t_gap_s=0.0, samples_per_pulse=40)
     assert run_cli("--out", str(tmp_path), "calibrate") == 0
     assert "loaded" in capsys.readouterr().out
 
@@ -275,8 +275,8 @@ BROKEN_SIDECARS = {
         {k: v for k, v in doc.items() if k != "v_w"}),
     "negative v_w": lambda doc: json.dumps({**doc, "v_w": -1.0}),
     "nan v_w": lambda doc: json.dumps({**doc, "v_w": float("nan")}),
-    "string samples": lambda doc: json.dumps({**doc,
-                                              "samples_per_pulse": "40"}),
+    "string t_pulse": lambda doc: json.dumps(
+        {**doc, "t_pulse_s": str(doc["t_pulse_s"])}),
     "list document": lambda doc: json.dumps([doc]),
 }
 
@@ -291,7 +291,7 @@ def test_calibrate_recalibrates_over_broken_sidecar(tmp_path, capsys, params,
     assert "wrote" in capsys.readouterr().out
     fresh = json.loads(sidecar.read_text())
     assert fresh["v_w"] == pulse.v_w
-    assert fresh["samples_per_pulse"] == pulse.samples_per_pulse
+    assert fresh["t_pulse_s"] == pulse.t_pulse
 
 
 def test_calibrate_force_recalibrates(tmp_path, capsys, params, pulse):
@@ -315,6 +315,20 @@ def test_calibrate_rejects_non_finite_margin(tmp_path, capsys, margin):
     rc = run_cli("--out", str(tmp_path), "calibrate", "--margin", margin)
     assert rc == 2
     assert "target_margin" in capsys.readouterr().err
+    assert list(tmp_path.glob("calibration-*.json")) == []
+
+
+@pytest.mark.parametrize("command", [
+    ("calibrate", "--force"),
+    ("adder", "--scheme", "pc", "--a", "1", "--b", "1", "--level", "device"),
+])
+@pytest.mark.parametrize("seed", ["nan", "inf", "0", "-1"])
+def test_bad_v_seed_is_usage_error(tmp_path, capsys, command, seed):
+    rc = run_cli("--out", str(tmp_path), *command, "--v-seed", seed)
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "v_seed" in err[0]
     assert list(tmp_path.glob("calibration-*.json")) == []
 
 

@@ -290,7 +290,6 @@ def test_threshold_ordering(crs_sweep):
     _, th = crs_sweep
     assert 0 < th.v_th1 < th.v_th2
     assert th.v_th4 < th.v_th3 < 0
-    assert th.on_window_volts > 0
 
 
 def test_sweep_high_resistive_below_first_threshold(crs_sweep):

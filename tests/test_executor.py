@@ -277,9 +277,9 @@ def test_calibration_failure_reports_attempts():
 
 def test_pulse_params_validation():
     with pytest.raises(ValueError):
-        PulseParams(v_w=0.0, t_pulse=1e-5)
+        PulseParams(v_w=0.0, t_pulse=1e-5, i_spike=1e-6)
     with pytest.raises(ValueError):
-        PulseParams(v_w=2.6, t_pulse=-1.0)
+        PulseParams(v_w=2.6, t_pulse=-1.0, i_spike=1e-6)
     with pytest.raises(ValueError):
         PulseParams(v_w=2.6, t_pulse=1e-5, i_spike=0.0)
 
@@ -296,9 +296,12 @@ def test_params_fingerprint_tracks_content(params):
 # device level
 # ----------------------------------------------------------------------
 
-def test_device_requires_calibration():
-    with pytest.raises(ExecutionError):
+def test_device_requires_calibration(params, pulse):
+    # the pulse and the cell parameters are required keywords
+    with pytest.raises(TypeError):
         run_device(gen_pc_adder(1), [0], [0], 0)
+    with pytest.raises(TypeError):
+        run_device(gen_pc_adder(1), [0], [0], 0, pulse, params)
 
 
 def test_device_flagship_pc(device_matrix):

@@ -1,91 +1,96 @@
-"""Carry/sum algebra and word helpers."""
+"""Carry/sum algebra of the state-update rule, the carry steps of the
+generated programs, and the word helpers."""
+
+import itertools
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from crsadder.crs import fsm_next
 from crsadder.logic import (
     add_words_reference,
-    carry_next,
-    full_adder_bit,
     int_to_word,
     str_to_word,
     sub_words_reference,
-    sum_final,
-    sum_intermediate,
     word_to_int,
     word_to_str,
 )
+from crsadder.microcode import gen_pc_adder, gen_tc_adder
 
 BITS = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+
+# A cell holding the carry c becomes the carry-out under (wl, bl) =
+# (a, NOT b), and the sum under (a, b) followed by (b, carry-out).
 
 
 def test_carry_equals_majority_exhaustive():
     for a, b, c in BITS:
-        assert carry_next(a, b, c) == oracles.majority_bit(a, b, c)
+        assert fsm_next(c, a, 1 - b) == oracles.majority_bit(a, b, c)
 
 
 def test_carry_table_rows():
-    assert carry_next(1, 1, 0) == 1
-    assert carry_next(0, 0, 1) == 0
-    assert carry_next(1, 0, 1) == 1
+    assert fsm_next(0, 1, 0) == 1    # a=1, b=1, c=0
+    assert fsm_next(1, 0, 1) == 0    # a=0, b=0, c=1
+    assert fsm_next(1, 1, 1) == 1    # a=1, b=0, c=1
 
 
 def test_sum_pipeline_equals_xor_exhaustive():
     for a, b, c in BITS:
-        s_mid = sum_intermediate(a, b, c)
-        s = sum_final(s_mid, b, carry_next(a, b, c))
+        s_mid = fsm_next(c, a, b)
+        s = fsm_next(s_mid, b, fsm_next(c, a, 1 - b))
         assert s == oracles.xor_bit(a, b, c)
 
 
 def test_sum_intermediate_rows():
-    assert sum_intermediate(1, 0, 0) == 1
-    assert sum_intermediate(1, 1, 0) == 0
-    assert sum_intermediate(0, 0, 0) == 0
+    assert fsm_next(0, 1, 0) == 1    # a=1, b=0, c=0
+    assert fsm_next(0, 1, 1) == 0    # a=1, b=1, c=0
+    assert fsm_next(0, 0, 0) == 0    # a=0, b=0, c=0
 
 
 def test_pipeline_named_cases():
-    # (1,1,0): intermediate 0, carry 1, final 0
-    assert sum_intermediate(1, 1, 0) == 0
-    assert carry_next(1, 1, 0) == 1
-    assert sum_final(0, 1, 1) == 0
-    # (1,0,0): intermediate 1, carry 0, final 1
-    assert sum_final(1, 0, 0) == 1
+    # (a, b, c) = (1, 1, 0): intermediate 0, carry 1, final 0
+    s_mid, c_out = fsm_next(0, 1, 1), fsm_next(0, 1, 0)
+    assert (s_mid, c_out) == (0, 1)
+    assert fsm_next(s_mid, 1, c_out) == 0
+    # (1, 0, 0): intermediate 1, carry 0, final 1
+    assert fsm_next(1, 0, 0) == 1
 
 
 def test_full_adder_bit():
     for a, b, c in BITS:
-        s, cout = full_adder_bit(a, b, c)
-        assert s == (a ^ b ^ c)
-        assert cout == oracles.majority_bit(a, b, c)
+        c_out = fsm_next(c, a, 1 - b)
+        assert fsm_next(fsm_next(c, a, b), b, c_out) == (a ^ b ^ c)
+        assert c_out == oracles.majority_bit(a, b, c)
 
 
 def test_carry_and_intermediate_share_wordline():
-    # both state updates are driven by the same wordline operand, which
-    # is what lets one cycle compute them on two cells; the bitline
-    # operands differ (b on one line, its complement on the other)
-    from crsadder import crs
-
-    calls = []
-    original = crs.fsm_next
-
-    def spy(z, wl, bl):
-        calls.append((z, wl, bl))
-        return original(z, wl, bl)
-
-    from crsadder import logic
-    logic.fsm_next, saved = spy, logic.fsm_next
-    try:
-        for a, b, c in BITS:
-            calls.clear()
-            carry_next(a, b, c)
-            sum_intermediate(a, b, c)
-            (_, wl1, bl1), (_, wl2, bl2) = calls
-            assert wl1 == wl2 == a
-            assert bl1 == 1 - b and bl2 == b
-    finally:
-        logic.fsm_next = saved
+    """Every generated carry step puts a:i on each wordline it drives;
+    the sum cell it peels sees b:i (not_b:i when subtracting), every
+    cell still carrying sees the complement and every peeled sum cell
+    is grounded.  So one cycle runs the carry update on the carrying
+    cells and the first sum update on the peeled one."""
+    for gen, n, subtract in itertools.product((gen_pc_adder, gen_tc_adder),
+                                              range(1, 9), (False, True)):
+        p = gen(n, subtract=subtract)
+        b, nb = ("not_b", "b") if subtract else ("b", "not_b")
+        carries = [s for s in p.steps if s.annotation == "carry"]
+        assert len(carries) == n + 1
+        for i, step in enumerate(carries):
+            idx = min(i, n - 1)
+            seen = {}
+            for d in step.drives:
+                assert str(d.wl) == f"a:{idx}", (gen, n, subtract, i)
+                for c in p.used_cells:
+                    if (c.array, c.wl) == (d.array, d.wl_index):
+                        seen[c] = str(d.bls[c.bl])
+            want = ["ground"] * i + [f"{b}:{idx}"] + [f"{nb}:{idx}"] * (n - i)
+            assert [seen[c] for c in p.result_cells] == want, \
+                (gen, n, subtract, i)
+            others = [seen[c] for c in p.used_cells if c not in p.result_cells]
+            assert f"{nb}:{idx}" in others
+            assert set(others) <= {"ground", f"{nb}:{idx}"}
 
 
 # ----------------------------------------------------------------------
@@ -134,8 +139,10 @@ def ripple_add_words(a_bits, b_bits, c0=0):
     c = c0
     out = []
     for k in range(n + 1):
-        s, c = full_adder_bit(a_bits[min(k, n - 1)], b_bits[min(k, n - 1)], c)
-        out.append(s)
+        a, b = a_bits[min(k, n - 1)], b_bits[min(k, n - 1)]
+        c_out = fsm_next(c, a, 1 - b)
+        out.append(fsm_next(fsm_next(c, a, b), b, c_out))
+        c = c_out
     return out
 
 
