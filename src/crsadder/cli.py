@@ -2,7 +2,7 @@
 
 Commands: sweep (device I-V curves + landmark extraction), adder (run a
 compiled program at either level and verify against integer arithmetic),
-calibrate (pulse parameter search, cached to a sidecar), emit (program
+calibrate (pulse parameter search, written to a file), emit (program
 JSON + step table), compare (cost table across schemes).
 
 Exit codes: 0 success/verified, 1 verification mismatch, 2 usage error
@@ -40,7 +40,6 @@ from .ecm import (
 from .executor import (
     CalibrationError,
     ExecutionError,
-    PulseParams,
     calibrate_pulse,
     params_fingerprint,
     run_behavioral,
@@ -117,32 +116,14 @@ def cmd_sweep(args):
 # calibration (shared by the calibrate and adder commands)
 # ----------------------------------------------------------------------
 
-def _sidecar_pulse(path, fp, margin):
-    """The sidecar's pulse if it was calibrated for fp at margin; None
-    if it is missing, was made for other parameters or another margin,
-    or does not hold a valid pulse."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc["params_fingerprint"] != fp or doc["target_margin"] != margin:
-            return None
-        return PulseParams(v_w=doc["v_w"], t_pulse=doc["t_pulse_s"],
-                           i_spike=doc["i_spike_a"])
-    except (FileNotFoundError, ValueError, KeyError, TypeError):
-        return None
-
-
-def _calibrated_pulse(args, p, reuse=True):
-    """Pulse for p at args.margin: the sidecar's if it holds one for the
-    same parameters and margin, else a fresh search seeded at args.v_seed
-    that overwrites the sidecar."""
-    fp = params_fingerprint(p)
+def _calibrated_pulse(args):
+    """A fresh pulse search for args.params at args.margin seeded at
+    args.v_seed, recorded in calibration-<fingerprint>.json under --out
+    (never read back)."""
+    fp = params_fingerprint(args.params)
     path = _outpath(args, f"calibration-{fp}.json")
-    if reuse:
-        pp = _sidecar_pulse(path, fp, args.margin)
-        if pp is not None:
-            return pp, path, True
-    pp = calibrate_pulse(p, target_margin=args.margin, v_seed=args.v_seed)
+    pp = calibrate_pulse(args.params, target_margin=args.margin,
+                         v_seed=args.v_seed)
     write_json(path, {
         "params_fingerprint": fp,
         "target_margin": args.margin,
@@ -150,13 +131,12 @@ def _calibrated_pulse(args, p, reuse=True):
         "t_pulse_s": pp.t_pulse,
         "i_spike_a": pp.i_spike,
     })
-    return pp, path, False
+    return pp, path
 
 
 def cmd_calibrate(args):
-    p = args.params
-    pp, path, cached = _calibrated_pulse(args, p, reuse=not args.force)
-    print(f"{'loaded' if cached else 'wrote'} {path}")
+    pp, path = _calibrated_pulse(args)
+    print(f"wrote {path}")
     print(f"v_w={pp.v_w:.6g} V  t_pulse={pp.t_pulse:.6g} s  "
           f"i_spike={pp.i_spike:.6g} A")
     return 0
@@ -183,7 +163,7 @@ def cmd_adder(args):
     if args.level == "behavioral":
         trace = run_behavioral(prog, a_bits, b_bits, args.c0)
     else:
-        pp, _, _ = _calibrated_pulse(args, args.params)
+        pp, _ = _calibrated_pulse(args)
         trace = run_device(prog, a_bits, b_bits, args.c0, pp=pp,
                            ep=args.params)
         write_trace_csv(trace, _outpath(
@@ -266,6 +246,11 @@ def build_parser():
     ap.add_argument("--format", choices=("csv", "json", "md"), default="md",
                     help="stdout format where a choice exists")
     sub = ap.add_subparsers(dest="command", required=True)
+    cal = argparse.ArgumentParser(add_help=False)
+    cal.add_argument("--margin", type=float, default=100.0,
+                     help="safety margin of the pulse calibration")
+    cal.add_argument("--v-seed", type=float, default=2.6,
+                     help="starting write amplitude of the pulse calibration")
 
     sp = sub.add_parser("sweep", help="quasi-static I-V sweep")
     sp.add_argument("--device", choices=("unit", "crs"), required=True)
@@ -279,7 +264,8 @@ def build_parser():
                     help="peak fraction defining CRS thresholds")
     sp.set_defaults(func=cmd_sweep)
 
-    aa = sub.add_parser("adder", help="compile and run an adder program")
+    aa = sub.add_parser("adder", parents=[cal],
+                        help="compile and run an adder program")
     aa.add_argument("--scheme", choices=("pc", "tc"), required=True)
     aa.add_argument("--a", required=True, metavar="BITS",
                     help="first operand, binary, most significant first")
@@ -290,21 +276,10 @@ def build_parser():
                     default="behavioral")
     aa.add_argument("--subtract", action="store_true",
                     help="compute a - b instead of a + b")
-    aa.add_argument("--margin", type=float, default=100.0,
-                    help="calibration safety margin (device level)")
-    aa.add_argument("--v-seed", type=float, default=2.6,
-                    help="starting write amplitude of a fresh calibration")
     aa.set_defaults(func=cmd_adder)
 
-    ca = sub.add_parser("calibrate", help="search pulse parameters")
-    ca.add_argument("--margin", type=float, default=100.0,
-                    help="calibration safety margin; a sidecar made for "
-                         "another margin is recalibrated")
-    ca.add_argument("--v-seed", type=float, default=2.6,
-                    help="starting write amplitude of a fresh search; a "
-                         "reused sidecar ignores it (see --force)")
-    ca.add_argument("--force", action="store_true",
-                    help="recalibrate even if a sidecar exists")
+    ca = sub.add_parser("calibrate", parents=[cal],
+                        help="search pulse parameters")
     ca.set_defaults(func=cmd_calibrate)
 
     em = sub.add_parser("emit", help="emit a program as JSON + step table")

@@ -220,7 +220,6 @@ def series_current(v_applied, s, p):
 # ======================================================================
 
 CRS_MOTION_LIMIT = 0.02   # max per-substep gap motion, fraction of span
-PULSE_SUBSTEPS = 200      # a pulse's substeps are at most t_pulse / this
 
 
 def step_crs_transient(s, v_applied, dt, p):
@@ -232,7 +231,7 @@ def step_crs_transient(s, v_applied, dt, p):
     CRS_MOTION_LIMIT of the span.
     """
     x_t, x_b = march((s.top.x, s.bottom.x), _PairSolve(v_applied, p), dt,
-                     p, None, CRS_MOTION_LIMIT)
+                     p, CRS_MOTION_LIMIT)
     return CrsDeviceState(EcmState(x_t), EcmState(x_b))
 
 
@@ -247,13 +246,12 @@ def crs_pulse(s, v_applied, t_pulse, p, n_samples):
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
     solve = _PairSolve(v_applied, p)
-    max_dt, sample_dt = t_pulse / PULSE_SUBSTEPS, t_pulse / n_samples
+    sample_dt = t_pulse / n_samples
     x_t, x_b = s.top.x, s.bottom.x
     samples = []
     t = 0.0
     for _ in range(n_samples):
-        x_t, x_b = march((x_t, x_b), solve, sample_dt, p, max_dt,
-                         CRS_MOTION_LIMIT)
+        x_t, x_b = march((x_t, x_b), solve, sample_dt, p, CRS_MOTION_LIMIT)
         vm, j, _, _ = solve.at((x_t, x_b))
         t += sample_dt
         samples.append((t, vm, j, x_t, x_b))

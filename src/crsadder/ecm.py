@@ -261,8 +261,15 @@ def solve_cell_dc(v_cell, x, p, eta_guess=None):
     # absolute floor keeps the accept test meaningful for denormal-range
     # voltages where the relative tolerance underflows
     tol = max(KVL_TOL * abs(v_cell), 1e-300)
+    resid = math.inf
     for _ in range(120):
-        resid, dresid, i_ion, eta2, v_tu, i_tot, di_tot = evaluate(eta)
+        try:
+            resid, dresid, i_ion, eta2, v_tu, i_tot, di_tot = evaluate(eta)
+        except OverflowError:
+            # exp overflows past 36.7 V; the first iterate is v_cell / 2
+            raise ConvergenceError(
+                f"DC solve overflowed at v_cell={v_cell:.6g} V, x={x:.6g} m, "
+                f"eta1={eta:.6g} V", resid) from None
         if abs(resid) <= tol:
             break
         if resid > 0:
@@ -378,27 +385,27 @@ def _implicit_substep(sol, dt, p):
         f"x={x:.6g} m, dt={dt:.6g} s", gy)
 
 
-def march(xs, solve, dt, p, max_dt, limit):
+def march(xs, solve, dt, p, limit):
     """Advance the gaps xs of coupled cells by dt; the one substep loop.
 
     Each substep starts from solve(xs), one CellSolution per cell at its
     current gap, and moves every cell by one backward-Euler substep at
-    its frozen cell voltage.  The substep is capped by max_dt (None: no
-    cap) and by the largest interval keeping the explicit motion
-    estimate of every cell under limit of the full span (rates pinning
-    a gap against a rail are ignored, the clamp absorbs them).
+    its frozen cell voltage.  The substep is the largest interval
+    keeping the explicit motion estimate of every cell under limit of
+    the full span (rates pinning a gap against a rail are ignored, the
+    clamp absorbs them).
     """
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
     span = p.l - p.x_min
     remaining = dt
     while remaining > 0.0:
-        sub = min(remaining, max_dt) if max_dt else remaining
         sols = solve(xs)
         worst = max(abs(_rail_masked_rate(state_derivative(s.i_ion, p), s.x, p))
                     for s in sols)
         if worst == 0.0:
             break   # every cell clamped or unbiased: nothing moves for any dt
+        sub = remaining
         if worst * sub > limit * span:
             sub = limit * span / worst
         xs = tuple(_implicit_substep(s, sub, p) for s in sols)
@@ -411,7 +418,7 @@ def step_transient(s, v_cell, dt, p):
     march with MOTION_LIMIT from the gap clamped into [x_min, l]."""
     x0 = min(max(s.x, p.x_min), p.l)
     (x,) = march((x0,), lambda xs: (solve_cell_dc(v_cell, xs[0], p),),
-                 dt, p, None, MOTION_LIMIT)
+                 dt, p, MOTION_LIMIT)
     return EcmState(x)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from crsadder import cli
 from crsadder.ecm import EcmParams, params_text
-from crsadder.executor import params_fingerprint
+from crsadder.executor import params_fingerprint, write_json
 from crsadder.microcode import gen_tc_adder, program_to_json
 
 
@@ -232,41 +232,21 @@ def test_sweep_reads_params_file(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# calibration sidecar and device-level adder
+# calibration file and device-level adder
 # ----------------------------------------------------------------------
 
-def _write_sidecar(dirpath, pp, params, **changes):
-    fp = params_fingerprint(params)
-    doc = {
-        "params_fingerprint": fp,
+DEVICE_ADDER = ("adder", "--scheme", "pc", "--a", "1", "--b", "1",
+                "--level", "device")
+
+
+def _calibration_doc(params, pp):
+    return {
+        "params_fingerprint": params_fingerprint(params),
         "target_margin": 100.0,
         "v_w": pp.v_w,
         "t_pulse_s": pp.t_pulse,
         "i_spike_a": pp.i_spike,
-        **changes,
     }
-    path = dirpath / f"calibration-{fp}.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def test_calibrate_writes_and_reuses_sidecar(tmp_path, capsys, params,
-                                             pulse):
-    sidecar = _write_sidecar(tmp_path, pulse, params)
-    rc = run_cli("--out", str(tmp_path), "calibrate")
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "loaded" in out and sidecar.name in out
-
-
-def test_calibrate_loads_legacy_sidecar_with_settle_time(tmp_path, capsys,
-                                                        params, pulse):
-    # sidecars written before the settle time was dropped carry t_gap_s,
-    # and those written before the sample count became a constant carry
-    # samples_per_pulse; both keys are ignored
-    _write_sidecar(tmp_path, pulse, params, t_gap_s=0.0, samples_per_pulse=40)
-    assert run_cli("--out", str(tmp_path), "calibrate") == 0
-    assert "loaded" in capsys.readouterr().out
 
 
 BROKEN_SIDECARS = {
@@ -284,30 +264,46 @@ BROKEN_SIDECARS = {
 @pytest.mark.parametrize("damage", sorted(BROKEN_SIDECARS))
 def test_calibrate_recalibrates_over_broken_sidecar(tmp_path, capsys, params,
                                                     pulse, damage):
-    sidecar = _write_sidecar(tmp_path, pulse, params)
-    sidecar.write_text(BROKEN_SIDECARS[damage](json.loads(sidecar.read_text())))
+    doc = _calibration_doc(params, pulse)
+    sidecar = tmp_path / f"calibration-{doc['params_fingerprint']}.json"
+    sidecar.write_text(BROKEN_SIDECARS[damage](doc))
     rc = run_cli("--out", str(tmp_path), "calibrate")
     assert rc == 0
     assert "wrote" in capsys.readouterr().out
-    fresh = json.loads(sidecar.read_text())
-    assert fresh["v_w"] == pulse.v_w
-    assert fresh["t_pulse_s"] == pulse.t_pulse
+    assert json.loads(sidecar.read_text()) == doc
 
 
-def test_calibrate_force_recalibrates(tmp_path, capsys, params, pulse):
-    _write_sidecar(tmp_path, pulse, params)
-    rc = run_cli("--out", str(tmp_path), "calibrate", "--force")
-    assert rc == 0
-    assert "wrote" in capsys.readouterr().out
+# what may already sit in --out; none of it is read
+EXISTING_CALIBRATION_FILES = {
+    "valid": json.dumps,    # compact, so a rewrite changes its bytes
+    "hand-edited v_w": lambda doc: json.dumps({**doc, "v_w": 2 * doc["v_w"]}),
+    "broken json": BROKEN_SIDECARS["not json"],
+}
 
 
-def test_calibrate_recalibrates_for_another_margin(tmp_path, capsys,
-                                                  params, pulse):
-    sidecar = _write_sidecar(tmp_path, pulse, params)
-    rc = run_cli("--out", str(tmp_path), "calibrate", "--margin", "50")
-    assert rc == 0
-    assert "wrote" in capsys.readouterr().out
-    assert json.loads(sidecar.read_text())["target_margin"] == 50.0
+@pytest.mark.parametrize("existing", sorted(EXISTING_CALIBRATION_FILES))
+@pytest.mark.parametrize("command", [("calibrate",), DEVICE_ADDER],
+                         ids=["calibrate", "adder"])
+def test_calibration_file_is_overwritten(tmp_path, params, pulse, command,
+                                         existing):
+    doc = _calibration_doc(params, pulse)
+    path = tmp_path / f"calibration-{doc['params_fingerprint']}.json"
+    path.write_text(EXISTING_CALIBRATION_FILES[existing](doc))
+    assert run_cli("--out", str(tmp_path), *command) == 0
+    fresh = tmp_path / "fresh.json"
+    write_json(fresh, doc)
+    assert path.read_bytes() == fresh.read_bytes()
+
+
+def test_calibrate_records_margin(tmp_path, params):
+    assert run_cli("--out", str(tmp_path), "calibrate", "--margin", "50") == 0
+    path = tmp_path / f"calibration-{params_fingerprint(params)}.json"
+    assert json.loads(path.read_text())["target_margin"] == 50.0
+
+
+def test_calibrate_force_is_gone(tmp_path):
+    assert run_cli("--out", str(tmp_path), "calibrate", "--force") == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("margin", ["nan", "inf"])
@@ -318,10 +314,7 @@ def test_calibrate_rejects_non_finite_margin(tmp_path, capsys, margin):
     assert list(tmp_path.glob("calibration-*.json")) == []
 
 
-@pytest.mark.parametrize("command", [
-    ("calibrate", "--force"),
-    ("adder", "--scheme", "pc", "--a", "1", "--b", "1", "--level", "device"),
-])
+@pytest.mark.parametrize("command", [("calibrate",), DEVICE_ADDER])
 @pytest.mark.parametrize("seed", ["nan", "inf", "0", "-1"])
 def test_bad_v_seed_is_usage_error(tmp_path, capsys, command, seed):
     rc = run_cli("--out", str(tmp_path), *command, "--v-seed", seed)
@@ -332,10 +325,21 @@ def test_bad_v_seed_is_usage_error(tmp_path, capsys, command, seed):
     assert list(tmp_path.glob("calibration-*.json")) == []
 
 
-def test_adder_device_uses_sidecar(tmp_path, capsys, params, pulse):
-    _write_sidecar(tmp_path, pulse, params)
-    rc = run_cli("--out", str(tmp_path), "adder", "--scheme", "pc",
-                 "--a", "1", "--b", "1", "--level", "device")
+@pytest.mark.parametrize("command", [
+    ("calibrate", "--v-seed", "1e6"),
+    ("sweep", "--device", "unit", "--amplitude", "1e6", "--samples", "10"),
+    ("sweep", "--device", "crs", "--amplitude", "1e6", "--samples", "10"),
+], ids=["calibrate", "unit sweep", "crs sweep"])
+def test_overflowing_voltage_is_solver_failure(tmp_path, capsys, command):
+    rc = run_cli("--out", str(tmp_path), *command)
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: DC solve overflowed")
+
+
+def test_adder_device_writes_trace(tmp_path, capsys):
+    rc = run_cli("--out", str(tmp_path), *DEVICE_ADDER)
     assert rc == 0
     assert capsys.readouterr().out.strip() == "s=10"
     trace = (tmp_path / "adder_pc_trace.csv").read_text()

@@ -148,6 +148,16 @@ def test_dc_goldens():
     assert rel(neg.i_total, GOLD_DC_NEG) < 1e-9
 
 
+@pytest.mark.parametrize("v", [74.0, -74.0, 1e6, -1e6])
+@pytest.mark.parametrize("x", [P.x_min, P.l])
+def test_dc_overflow_is_convergence_error(v, x):
+    # the first iterate's interface exponential leaves the float range
+    with pytest.raises(ConvergenceError) as err:
+        solve_cell_dc(v, x, P)
+    assert f"v_cell={v:.6g} V" in str(err.value)
+    assert f"x={x:.6g} m" in str(err.value)
+
+
 @settings(max_examples=30)
 @given(v=st.floats(-1.5, 1.5).filter(lambda v: abs(v) > 1e-3),
        x=st.floats(0.1e-9, 20e-9))
