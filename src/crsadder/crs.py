@@ -31,10 +31,14 @@ import math
 from dataclasses import dataclass
 
 from .ecm import (
+    KVL_TOL,
+    CellSolution,
     ConvergenceError,
     EcmState,
+    cell_constants,
+    eta_step,
+    evaluate_branch,
     march,
-    solve_cell_dc,
     _triangle_sweep,
 )
 
@@ -128,61 +132,79 @@ DIVIDER_KCL_FLOOR = 1e-300  # A; absolute floor where the relative one underflow
 def solve_crs_divider(v_w, v_b, x_top, x_bot, p, vm_guess=None):
     """Middle-node voltage and branch solutions of the loaded pair.
 
-    Cell voltages are measured from the middle node outward: the top
-    cell sees v_m - v_w, the bottom v_m - v_b, which realizes the
-    anti-serial orientation.  The unknown is the voltage u across the
-    lower-gap (low-ohmic) cell; the other cell sees u plus the line
-    difference, and v_m is the low cell's line voltage plus u.  In
-    stored and half-select states v_m sits next to a line, where forming
-    v_m minus that line would cancel the low cell's small drop; u keeps
-    it at full precision.  The node current i_top + i_bot strictly
-    increases with u and changes sign between u = 0 and u = -(line
-    difference), so Newton steps on the summed cell conductances are
-    taken inside that bracket, with bisection when a step leaves it.
+    The top cell sees v_m - v_w, the bottom v_m - v_b (anti-serial).  One
+    damped Newton in the eta1 of the lower-gap (low) and the other (far)
+    cell drives the loop KVL V_far - V_low - (low line - far line) and
+    the node KCL I_low + I_far; its 2x2 Jacobian is analytic, with a
+    negative determinant.  v_m is the low line plus V_low, exact next to
+    a line.  Each eta1 starts at half its cell voltage, from vm_guess
+    when that lies between the lines, else from v_m at the low line, and
+    moves by ecm.eta_step inside its bracket.
 
-    Returns (v_m, j_series, sol_top, sol_bot) where j_series is the
-    current flowing from wl to bl (equals the bottom cell current), with
-    |i_top + i_bot| <= max(DIVIDER_KCL_TOL * max(|i_top|, |i_bot|),
-    DIVIDER_KCL_FLOOR); raises ConvergenceError when the bracket is
-    exhausted first.
+    Returns (v_m, j_series, sol_top, sol_bot), j_series the bottom cell
+    current (wl to bl), with |i_top + i_bot| <= max(DIVIDER_KCL_TOL *
+    max(|i_top|, |i_bot|), DIVIDER_KCL_FLOOR) and the loop residual, the
+    far cell's kvl_residual, within max(KVL_TOL * |v_w - v_b|, 1e-300);
+    raises ConvergenceError when 100 iterations miss either.
     """
-    if v_w == v_b:
-        sol_t = solve_cell_dc(0.0, x_top, p)
-        sol_b = solve_cell_dc(0.0, x_bot, p)
-        return v_w, 0.0, sol_t, sol_b
     top_low = x_top <= x_bot
-    # u is the voltage across the low cell, u + diff across the far one
     if top_low:
         v_low, x_low, x_far, diff = v_w, x_top, x_bot, v_w - v_b
     else:
         v_low, x_low, x_far, diff = v_b, x_bot, x_top, v_b - v_w
-    lo, hi = sorted((0.0, -diff))
-    u = vm_guess - v_low if vm_guess is not None else 0.5 * (lo + hi)
-    if not lo < u < hi:
-        u = 0.5 * (lo + hi)
+    s = 1 if diff > 0 else -1   # the low cell sees u in [0, -diff]
+    u = vm_guess - v_low if vm_guess is not None else math.nan
+    if not min(0.0, -diff) < u < max(0.0, -diff):
+        u = 0.0   # the far cell, the larger gap, takes the whole difference
+    cells = []
+    for x, sign, v in ((x_low, -s, u), (x_far, s, u + diff)):
+        # |diff| >= |v_cell| >= |i_ion| * (R_ion + R_ser) bounds |eta1|.
+        # The seed v / 2, a lone cell's cold start, may lie past the bound
+        # and leaves the float range from v = 73.4 V
+        r_ion, r_fil, r_ser, g_tu = cell_constants(x, p)
+        beta = p._beta_a if sign > 0 else p._beta_c
+        cap = sign * min(abs(diff), math.log1p(
+            abs(diff) / (p._j0a * (r_ion + r_ser))) / beta)
+        cells.append((0.5 * v, *sorted((0.0, cap)), r_ion, r_fil, r_ser, g_tu))
+    (e_l, lo_l, hi_l, ri_l, rf_l, rs_l, g_tl), (
+        e_f, lo_f, hi_f, ri_f, rf_f, rs_f, g_tf) = cells
+    kvl_tol = max(KVL_TOL * abs(diff), 1e-300)
     for _ in range(100):
-        s_low = solve_cell_dc(u, x_low, p)
-        s_far = solve_cell_dc(u + diff, x_far, p)
-        i_low, i_far = s_low.i_total, s_far.i_total
-        f = i_low + i_far
-        if abs(f) <= max(DIVIDER_KCL_TOL * max(abs(i_low), abs(i_far)),
-                         DIVIDER_KCL_FLOOR):
-            st, sb = (s_low, s_far) if top_low else (s_far, s_low)
-            return v_low + u, sb.i_total, st, sb
-        if f < 0.0:
-            lo = u
-        else:
-            hi = u
-        g = s_low.g_diff + s_far.g_diff
-        u_new = u - f / g if g > 0.0 else math.nan
-        if not lo < u_new < hi:   # also catches a non-finite step
-            u_new = 0.5 * (lo + hi)
-        if u_new == u:
+        try:
+            b_l = evaluate_branch(e_l, -s, ri_l, g_tl, p)
+            b_f = evaluate_branch(e_f, s, ri_f, g_tf, p)
+        except OverflowError:   # only the seeds can leave the float range
+            raise ConvergenceError(
+                f"DC solve overflowed at v_w={v_w:.6g} V, v_b={v_b:.6g} V, "
+                f"x_top={x_top:.6g} m, x_bot={x_bot:.6g} m",
+                math.inf) from None
+        i_l, i_f = b_l[3], b_f[3]
+        v_l, v_f = b_l[2] + i_l * rs_l, b_f[2] + i_f * rs_f
+        f1, f2 = v_f - v_l - diff, i_l + i_f
+        a_l, a_f = b_l[4] + b_l[5] * rs_l, b_f[4] + b_f[5] * rs_f  # dV/deta1
+        if abs(f1) <= kvl_tol and abs(f2) <= max(
+                DIVIDER_KCL_TOL * max(abs(i_l), abs(i_f)), DIVIDER_KCL_FLOOR):
+            s_l = CellSolution(v_l, x_low, e_l, b_l[1], b_l[2], b_l[0],
+                               g_tl * b_l[2], i_l, ri_l, rf_l, 0.0,
+                               b_l[5] / a_l)
+            s_f = CellSolution(v_l + diff, x_far, e_f, b_f[1], b_f[2], b_f[0],
+                               g_tf * b_f[2], i_f, ri_f, rf_f, -f1,
+                               b_f[5] / a_f)
+            st, sb = (s_l, s_f) if top_low else (s_f, s_l)
+            return v_low + v_l, sb.i_total, st, sb
+        # the cells' tangent I-V lines meet KCL with the low cell moved by
+        # dv and the far one by dv - f1
+        g_l, g_f = b_l[5] / a_l, b_f[5] / a_f
+        dv = (g_f * f1 - f2) / (g_l + g_f)
+        new_l = eta_step(e_l, dv, a_l, -s, lo_l, hi_l, p)
+        new_f = eta_step(e_f, dv - f1, a_f, s, lo_f, hi_f, p)
+        if new_l == e_l and new_f == e_f:
             break
-        u = u_new
+        e_l, e_f = new_l, new_f
     raise ConvergenceError(
-        f"divider missed KCL at v_w={v_w:.6g} V, v_b={v_b:.6g} V, "
-        f"x_top={x_top:.6g} m, x_bot={x_bot:.6g} m", f)
+        f"divider missed its tolerance at v_w={v_w:.6g} V, v_b={v_b:.6g} V, "
+        f"x_top={x_top:.6g} m, x_bot={x_bot:.6g} m (loop residual "
+        f"{f1:.3e} V)", f2)
 
 
 class _PairSolve:

@@ -170,26 +170,6 @@ def ionic_current(eta1, v_cell_sign, p):
     return 0.0
 
 
-def _eta2_from_current(i_ion, v_cell_sign, p):
-    """Overpotential at the filament-tip interface carrying i_ion.
-
-    The tip interface obeys the same kinetics with current and
-    overpotential reversed (the reaction runs in the opposite direction
-    there), so the anodic/cathodic coefficients swap roles.
-    """
-    if v_cell_sign > 0:
-        return math.log1p(i_ion / p._j0a) / p._beta_c
-    if v_cell_sign < 0:
-        return -math.log1p(-i_ion / p._j0a) / p._beta_a
-    return 0.0
-
-
-def _d_eta2_d_i(i_ion, v_cell_sign, p):
-    if v_cell_sign > 0:
-        return 1.0 / (p._beta_c * (p._j0a + i_ion))
-    return 1.0 / (p._beta_a * (p._j0a - i_ion))
-
-
 def tunnel_conductance(x, p):
     """Low-bias tunneling conductance of a gap of width x, S."""
     if not math.isfinite(x) or x <= 0:
@@ -206,11 +186,6 @@ def state_derivative(i_ion, p):
     return -p._k_faraday * i_ion
 
 
-def resistances(x, p):
-    """(R_ion, R_fil) of the gap region and the grown filament, ohm."""
-    return x / (p.sigma_ion * p.a_fil), (p.l - x) / (p.sigma_fil * p.a_fil)
-
-
 # ======================================================================
 # DC operating point
 # ======================================================================
@@ -218,39 +193,66 @@ def resistances(x, p):
 KVL_TOL = 1e-12   # relative loop-voltage tolerance for accepted solutions
 
 
+def cell_constants(x, p):
+    """(R_ion, R_fil, R_ser = R_el + R_fil, tunnel conductance) at gap x,
+    ohm and S: the constants of evaluate_branch and of a cell voltage."""
+    r_fil = (p.l - x) / (p.sigma_fil * p.a_fil)
+    return (x / (p.sigma_ion * p.a_fil), r_fil, p.r_el + r_fil,
+            tunnel_conductance(x, p))
+
+
+def evaluate_branch(eta1, sign, r_ion, g_tu, p):
+    """(i_ion, eta2, v_tu, i_tot, dv_tu/d(eta1), di_tot/d(eta1)) of a cell
+    of polarity sign at eta1, all explicit: i_ion from the interface
+    kinetics, eta2 from the tip interface carrying it, v_tu from the ionic
+    branch KVL, i_tot the branch sum; the cell voltage is v_tu + i_tot *
+    R_ser."""
+    i_ion = ionic_current(eta1, sign, p)
+    # the tip interface runs the reaction in the opposite direction, so
+    # the anodic/cathodic coefficients swap roles there
+    b_in, b_tip = ((p._beta_a, p._beta_c) if sign > 0
+                   else (p._beta_c, p._beta_a))
+    eta2 = sign * math.log1p(sign * i_ion / p._j0a) / b_tip
+    di = p._j0a * b_in * math.exp(sign * b_in * eta1)
+    d_eta2 = 1.0 / (b_tip * (p._j0a + sign * i_ion))
+    v_tu = eta1 + i_ion * r_ion + eta2
+    dvtu = 1.0 + (r_ion + d_eta2) * di
+    return i_ion, eta2, v_tu, i_ion + g_tu * v_tu, dvtu, di + g_tu * dvtu
+
+
+def eta_step(eta, dv, dv_deta, sign, lo, hi, p):
+    """Next eta1 from eta moving the cell's voltage by dv (slope dv_deta),
+    inside (lo, hi): a step leaving it goes halfway to the end it crosses
+    (bisection when eta is a bracket end).  The step is Newton's in eta1,
+    except toward zero from 0.9/beta on, where Newton in eta1 walks down
+    the interface exponential about 1/beta a step: there it is Newton's
+    in i_ion, in which the voltage is concave, ln(1 + beta * dv /
+    dv_deta) / beta, landing on or below the root (-sign * inf past zero
+    current).  Shorter steps leave ordinary solves' iterates as they were.
+    """
+    step = dv / dv_deta
+    beta = p._beta_a if sign > 0 else p._beta_c
+    arg = beta * step * sign
+    if arg <= -0.9:
+        step = (sign * math.log1p(arg) / beta if arg > -1.0
+                else -sign * math.inf)
+    new = eta + step
+    return new if lo < new < hi else 0.5 * (eta + (hi if new >= hi else lo))
+
+
 def solve_cell_dc(v_cell, x, p, eta_guess=None):
     """Solve the cell's DC operating point at fixed gap x.
 
-    Single unknown: eta1.  Given eta1 the ionic current follows from the
-    interface kinetics, eta2 from the tip interface carrying the same
-    current, the gap-block voltage from the ionic branch KVL, the
-    tunneling current from that voltage, and the terminal current as the
-    branch sum (node KCL exact by construction).  The remaining loop
-    equation is driven below KVL_TOL by a bracketed damped Newton
-    iteration with bisection fallback.
+    Single unknown: eta1 (evaluate_branch).  eta_step drives the loop
+    equation v_cell = v_tu + i_tot * R_ser below KVL_TOL inside the bracket
+    between 0 and v_cell, in a number of iterations that does not grow
+    with |v_cell|.  A cold start's first iterate, v_cell / 2, leaves the
+    float range from about 73.4 V: that raises ConvergenceError.
     """
     if not math.isfinite(v_cell):
         raise ValueError(f"v_cell must be finite, got {v_cell!r}")
-    r_ion, r_fil = resistances(x, p)
+    r_ion, r_fil, r_ser, g_tu = cell_constants(x, p)
     sign = -1 if v_cell < 0 else 1
-    r_ser = p.r_el + r_fil
-    g_tu = tunnel_conductance(x, p)
-
-    def evaluate(eta1):
-        i_ion = ionic_current(eta1, sign, p)
-        eta2 = _eta2_from_current(i_ion, sign, p)
-        v_tu = eta1 + i_ion * r_ion + eta2
-        i_tot = i_ion + g_tu * v_tu
-        resid = v_cell - i_tot * r_ser - v_tu
-        # d(resid)/d(eta1), all terms analytic
-        if sign > 0:
-            di = p._j0a * p._beta_a * math.exp(p._beta_a * eta1)
-        else:
-            di = p._j0a * p._beta_c * math.exp(-p._beta_c * eta1)
-        dvtu = 1.0 + (r_ion + _d_eta2_d_i(i_ion, sign, p)) * di
-        di_tot = di + g_tu * dvtu    # dI/d(eta1)
-        return resid, -di_tot * r_ser - dvtu, i_ion, eta2, v_tu, i_tot, di_tot
-
     # resid is strictly decreasing in eta1; bracket is [0, v] (or [v, 0]).
     # Zero bias solves exactly at eta1 = 0 on the forward branch, whose
     # conductance there equals the reverse branch's, so g_diff is
@@ -264,30 +266,28 @@ def solve_cell_dc(v_cell, x, p, eta_guess=None):
     resid = math.inf
     for _ in range(120):
         try:
-            resid, dresid, i_ion, eta2, v_tu, i_tot, di_tot = evaluate(eta)
+            i_ion, eta2, v_tu, i_tot, dvtu, di_tot = evaluate_branch(
+                eta, sign, r_ion, g_tu, p)
         except OverflowError:
-            # exp overflows past 36.7 V; the first iterate is v_cell / 2
             raise ConvergenceError(
                 f"DC solve overflowed at v_cell={v_cell:.6g} V, x={x:.6g} m, "
                 f"eta1={eta:.6g} V", resid) from None
+        resid = v_cell - i_tot * r_ser - v_tu
+        dv = dvtu + di_tot * r_ser     # d(cell voltage)/d(eta1)
         if abs(resid) <= tol:
             break
         if resid > 0:
             lo = eta    # resid decreases with eta1: root lies above
         else:
             hi = eta
-        step = -resid / dresid if dresid != 0.0 else math.nan
-        eta_new = eta + step
-        if not (lo < eta_new < hi) or not math.isfinite(eta_new):
-            eta_new = 0.5 * (lo + hi)
+        eta_new = eta_step(eta, resid, dv, sign, lo, hi, p)
         if eta_new == eta:
             break   # bracket exhausted at float resolution
         eta = eta_new
-    # within 1e3 * tol: float-limited but physically converged.  resid is
-    # v_cell minus a function of eta1, so dV/d(eta1) = -dresid there
+    # within 1e3 * tol: float-limited but physically converged
     if abs(resid) <= 1e3 * tol:
         return CellSolution(v_cell, x, eta, eta2, v_tu, i_ion, g_tu * v_tu,
-                            i_tot, r_ion, r_fil, resid, -di_tot / dresid)
+                            i_tot, r_ion, r_fil, resid, di_tot / dv)
     raise ConvergenceError(
         f"DC solve stalled at v_cell={v_cell:.6g} V, x={x:.6g} m", resid)
 

@@ -3,7 +3,8 @@
 Everything here is written from the physics/arithmetic directly, on
 purpose NOT reusing the package's solver or helpers: the DC operating
 point comes from nested interval bisection (outer loop on the parallel
-block voltage, inner loop on the ionic branch current), transients from
+block voltage, inner loop on the ionic branch current), the pair's
+middle node from one more bisection around it, transients from
 explicit Euler with a motion cap, and word arithmetic from Python ints.
 Agreement between these and the package is what the golden constants in
 the tests certify.
@@ -109,6 +110,8 @@ def _ionic_current_for_drop(v_p, x, prm):
         lo = grow
     for _ in range(300):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break   # adjacent floats: further halving changes nothing
         if _ionic_branch_voltage(mid, x, prm) < v_p:
             lo = mid
         else:
@@ -139,6 +142,8 @@ def solve_dc_oracle(v_cell, x, prm=REF):
     lo, hi = (0.0, v_cell) if v_cell > 0 else (v_cell, 0.0)
     for _ in range(300):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if residual(mid) > 0:
             lo = mid
         else:
@@ -148,6 +153,39 @@ def solve_dc_oracle(v_cell, x, prm=REF):
     i_tu = g_tu * v_p
     return {"i_ion": i_ion, "i_tu": i_tu, "i_total": i_ion + i_tu,
             "v_p": v_p}
+
+
+def solve_pair_oracle(v_w, v_b, x_top, x_bot, prm=REF):
+    """Middle node of the anti-serial pair by bisection on v_m.
+
+    The top cell sees v_m - v_w, the bottom v_m - v_b, each solved by
+    solve_dc_oracle; the node current i_top + i_bot strictly increases
+    with v_m and changes sign between the lines.  v_m is bisected as an
+    offset from the line it lies nearer (decided at the midpoint), so
+    that cell's small voltage keeps its digits.  Returns dict with v_m
+    and j, the bottom cell current.
+    """
+    def node_current(base, d):
+        return (solve_dc_oracle(base - v_w + d, x_top, prm)["i_total"]
+                + solve_dc_oracle(base - v_b + d, x_bot, prm)["i_total"])
+
+    low, high = min(v_w, v_b), max(v_w, v_b)
+    half = 0.5 * (high - low)
+    if node_current(low, half) > 0:
+        base, lo, hi = low, 0.0, half
+    else:
+        base, lo, hi = high, -half, 0.0
+    for _ in range(1200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if node_current(base, mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    d = 0.5 * (lo + hi)
+    return {"v_m": base + d,
+            "j": solve_dc_oracle(base - v_b + d, x_bot, prm)["i_total"]}
 
 
 def set_time_oracle(v_cell, x0=None, prm=REF, max_steps=2_000_000):

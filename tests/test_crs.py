@@ -1,12 +1,12 @@
 """Anti-serial pair: state machine, decode, divider, pulses, sweep."""
 
 import math
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from crsadder import crs
 from crsadder.crs import (
     DIVIDER_KCL_FLOOR,
@@ -25,7 +25,7 @@ from crsadder.crs import (
     step_crs_transient,
     sweep_iv_crs,
 )
-from crsadder.ecm import ConvergenceError, EcmParams, EcmState
+from crsadder.ecm import KVL_TOL, ConvergenceError, EcmParams, EcmState
 
 P = EcmParams()
 MID = P.gap_midpoint()
@@ -106,14 +106,18 @@ def test_bit_encoding_roundtrip():
 # voltage divider
 # ----------------------------------------------------------------------
 
-def assert_kcl(v_w, v_b, result):
+def assert_tolerances(v_w, v_b, result):
     """The divider's stated contract: node KCL to 1e-12 of the larger
     branch current (or to the absolute floor where that underflows),
-    v_m between the lines, j the bottom cell current."""
+    loop KVL, recorded as a cell's kvl_residual, to KVL_TOL of the line
+    difference (or 1e-300), v_m between the lines, j the bottom cell
+    current."""
     v_m, j, sol_t, sol_b = result
     scale = max(abs(sol_t.i_total), abs(sol_b.i_total))
     assert abs(sol_t.i_total + sol_b.i_total) <= max(
         DIVIDER_KCL_TOL * scale, DIVIDER_KCL_FLOOR)
+    assert max(abs(sol_t.kvl_residual), abs(sol_b.kvl_residual)) <= max(
+        KVL_TOL * abs(v_w - v_b), 1e-300)
     assert min(v_w, v_b) <= v_m <= max(v_w, v_b)
     assert j == sol_b.i_total
 
@@ -127,7 +131,8 @@ def assert_kcl(v_w, v_b, result):
 ])
 def test_divider_current_consistency(x_top, x_bot, v):
     v_w, v_b = v / 2, -v / 2
-    assert_kcl(v_w, v_b, solve_crs_divider(v_w, v_b, x_top, x_bot, P))
+    assert_tolerances(v_w, v_b,
+                      solve_crs_divider(v_w, v_b, x_top, x_bot, P))
 
 
 @pytest.mark.parametrize("bit", [0, 1])
@@ -137,8 +142,8 @@ def test_divider_half_select_meets_tolerance(bit, v):
     # node lies within about 1e-7 of the low-ohmic cell's line
     s = crs_state_for_bit(bit, P)
     for v_w, v_b in ((v, 0.0), (0.0, -v), (v / 2, -v / 2)):
-        assert_kcl(v_w, v_b, solve_crs_divider(v_w, v_b, s.top.x,
-                                               s.bottom.x, P))
+        assert_tolerances(v_w, v_b, solve_crs_divider(v_w, v_b, s.top.x,
+                                                      s.bottom.x, P))
 
 
 @pytest.mark.parametrize("bit", [0, 1])
@@ -148,8 +153,8 @@ def test_divider_at_subnormal_scale_line_differences(bit, v):
     # underflows and the absolute floor decides
     s = crs_state_for_bit(bit, P)
     for v_w, v_b in ((v, 0.0), (0.0, -v), (-v, 0.0), (v / 2, -v / 2)):
-        assert_kcl(v_w, v_b, solve_crs_divider(v_w, v_b, s.top.x,
-                                               s.bottom.x, P))
+        assert_tolerances(v_w, v_b, solve_crs_divider(v_w, v_b, s.top.x,
+                                                      s.bottom.x, P))
 
 
 gaps = st.one_of(st.sampled_from([P.x_min, P.l]), st.floats(P.x_min, P.l))
@@ -162,19 +167,68 @@ line_differences = st.one_of(
        common=st.sampled_from([0.0, V_W / 2, -V_W / 2]))
 def test_divider_meets_kcl_tolerance(x_top, x_bot, v, common):
     v_w, v_b = common + v / 2, common - v / 2
-    assert_kcl(v_w, v_b, solve_crs_divider(v_w, v_b, x_top, x_bot, P))
+    assert_tolerances(v_w, v_b,
+                      solve_crs_divider(v_w, v_b, x_top, x_bot, P))
 
 
 def test_divider_that_cannot_converge_raises(monkeypatch):
-    # a current that jumps across zero has no KCL root to 1e-12; the
-    # divider must say so instead of returning its last iterate
-    def jumping_cell(v, x, p, eta_guess=None):
-        return SimpleNamespace(i_total=math.copysign(x, v) if v else 0.0,
-                               g_diff=0.0)
+    # a branch current that jumps across zero, by a step that differs
+    # between the two cells, leaves KCL no root; the divider must say so
+    # instead of returning its last iterate
+    def jumping_branch(eta1, sign, r_ion, g_tu, p):
+        i = sign * r_ion * (1e-12 if abs(eta1) > 0.1 else -1e-12)
+        return i, 0.5 * eta1, eta1, i, 1.0, 1e-9
 
-    monkeypatch.setattr(crs, "solve_cell_dc", jumping_cell)
+    monkeypatch.setattr(crs, "evaluate_branch", jumping_branch)
     with pytest.raises(ConvergenceError):
         solve_crs_divider(V_W / 2, -V_W / 2, P.x_min, P.l, P)
+
+
+RANGE_GAPS = [(P.x_min, P.l), (P.l, P.x_min), (5e-9, 5e-9), (P.x_min, P.x_min)]
+
+
+def solved_or_past_edge(v, v_w, v_b, x_top, x_bot, guess):
+    """The divider's result meeting its tolerances, or None where it
+    raised ConvergenceError at or past 73.4 V across the pair."""
+    try:
+        got = solve_crs_divider(v_w, v_b, x_top, x_bot, P, vm_guess=guess)
+    except ConvergenceError:
+        assert v >= 73.4
+        return None
+    assert_tolerances(v_w, v_b, got)
+    return got
+
+
+@pytest.mark.parametrize("x_top,x_bot", RANGE_GAPS)
+def test_divider_range(x_top, x_bot):
+    # 2.6 V to 80 V across the pair, either polarity, lines centred on
+    # 0 V or the bit line grounded, cold started and warm started from
+    # the lines' midpoint and from the solution.  Below 73.4 V every solve
+    # meets both tolerances; from there the far cell's first iterate, at
+    # half its cell voltage, may leave the float range as a lone cell's
+    # cold solve does, and ConvergenceError is the only other outcome
+    for k in range(26, 801, 6):
+        v = k / 10
+        for v_w, v_b in ((v / 2, -v / 2), (-v / 2, v / 2), (v, 0.0),
+                         (-v, 0.0)):
+            cold = solved_or_past_edge(v, v_w, v_b, x_top, x_bot, None)
+            solved_or_past_edge(v, v_w, v_b, x_top, x_bot, 0.5 * (v_w + v_b))
+            if cold is not None:
+                solved_or_past_edge(v, v_w, v_b, x_top, x_bot, cold[0])
+
+
+@settings(max_examples=4)
+@given(x_top=gaps, x_bot=gaps, v=st.floats(-3.0, 3.0).filter(
+    lambda v: abs(v) > 1e-3))
+@example(x_top=P.x_min, x_bot=P.l, v=V_W)
+@example(x_top=P.l, x_bot=P.x_min, v=-V_W / 2)
+def test_divider_matches_independent_bisection(x_top, x_bot, v):
+    # each oracle call takes about a second; v_m is compared on the scale
+    # of the line difference, as it can sit at 0 V between symmetric lines
+    v_m, j, _, _ = solve_crs_divider(v / 2, -v / 2, x_top, x_bot, P)
+    ora = oracles.solve_pair_oracle(v / 2, -v / 2, x_top, x_bot)
+    assert abs(v_m - ora["v_m"]) <= 1e-6 * abs(v)
+    assert abs(j - ora["j"]) <= 1e-6 * max(abs(j), abs(ora["j"]))
 
 
 def test_divider_equal_rails_is_equilibrium():

@@ -198,6 +198,17 @@ def test_dc_meets_stated_kvl_tolerance(v, x):
     assert abs(sol.kvl_residual) <= 1e3 * max(KVL_TOL * abs(v), 1e-300)
 
 
+@pytest.mark.parametrize("x", [P.x_min, 5e-9, P.l])
+def test_dc_solves_up_to_70_volts(x):
+    # a cold start at v/2 sits high on the interface exponential from
+    # about 3 V; the solve must still meet KVL_TOL itself, without the
+    # 1e3 float-limited slack
+    for k in range(-140, 141):
+        v = 0.5 * k
+        sol = solve_cell_dc(v, x, P)
+        assert abs(sol.kvl_residual) <= max(KVL_TOL * abs(v), 1e-300)
+
+
 def test_dc_solution_reports_resistances():
     x = 5e-9
     sol = solve_cell_dc(0.5, x, P)
