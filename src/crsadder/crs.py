@@ -245,13 +245,8 @@ CRS_MOTION_LIMIT = 0.02   # max per-substep gap motion, fraction of span
 
 
 def step_crs_transient(s, v_applied, dt, p):
-    """Advance the pair by dt with v_applied split +v/2 on wl, -v/2 on bl.
-
-    Semi-implicit scheme: the divider is re-solved at the current gaps,
-    then each cell takes a backward-Euler substep at its frozen cell
-    voltage.  Substeps shrink whenever either gap would move more than
-    CRS_MOTION_LIMIT of the span.
-    """
+    """Advance the pair by dt with v_applied split +v/2 on wl, -v/2 on
+    bl: a two-cell march with CRS_MOTION_LIMIT."""
     x_t, x_b = march((s.top.x, s.bottom.x), _PairSolve(v_applied, p), dt,
                      p, CRS_MOTION_LIMIT)
     return CrsDeviceState(EcmState(x_t), EcmState(x_b))
@@ -298,15 +293,10 @@ def sweep_iv_crs(amplitude, rate, s0, p, n_samples=1200, frac=0.5):
     """
     if not 0.0 < frac < 1.0:
         raise ValueError(f"frac must lie in (0, 1), got {frac!r}")
-
-    def sample(v, s):
-        cls = classify(s.top.x, s.bottom.x, p.gap_midpoint())
-        return (v, series_current(v, s, p), s.top.x, s.bottom.x,
-                str(cls) if cls is not None else "indeterminate")
-
-    rows = _triangle_sweep(
-        amplitude, rate, s0, n_samples,
-        lambda s, v, dt: step_crs_transient(s, v, dt, p), sample)
+    rows = _triangle_sweep(amplitude, rate, (s0.top.x, s0.bottom.x),
+                           n_samples, _PairSolve, CRS_MOTION_LIMIT, p)
+    mid = p.gap_midpoint()
+    rows = [(*r, str(classify(*r[2:], mid) or "indeterminate")) for r in rows]
     th = _extract_thresholds(rows, frac)
     missing = [name for name in ("v_th1", "v_th2", "v_th3", "v_th4")
                if getattr(th, name) is None]

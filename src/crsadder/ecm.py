@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 # CODATA 2018 exact values
 E_CHARGE = 1.602176634e-19   # C
@@ -106,8 +107,7 @@ class EcmState:
             raise ValueError(f"gap must be a positive finite length, got {self.x!r}")
 
 
-@dataclass(frozen=True)
-class CellSolution:
+class CellSolution(NamedTuple):
     """Self-consistent DC operating point of a single cell."""
 
     v_cell: float
@@ -413,12 +413,24 @@ def march(xs, solve, dt, p, limit):
     return xs
 
 
+class _CellSolve:
+    """One cell's DC solve at voltage v as march's solve; a gap equal to
+    the last one solved reuses its solution, as crs._PairSolve does."""
+
+    def __init__(self, v, p):
+        self.v, self.p, self.xs, self.sols = v, p, None, None
+
+    def __call__(self, xs):
+        if xs != self.xs:
+            self.xs, self.sols = xs, (solve_cell_dc(self.v, xs[0], self.p),)
+        return self.sols
+
+
 def step_transient(s, v_cell, dt, p):
     """Advance one cell by dt under constant applied voltage: a one-cell
     march with MOTION_LIMIT from the gap clamped into [x_min, l]."""
     x0 = min(max(s.x, p.x_min), p.l)
-    (x,) = march((x0,), lambda xs: (solve_cell_dc(v_cell, xs[0], p),),
-                 dt, p, MOTION_LIMIT)
+    (x,) = march((x0,), _CellSolve(v_cell, p), dt, p, MOTION_LIMIT)
     return EcmState(x)
 
 
@@ -441,39 +453,36 @@ def triangle_voltage(t, amplitude, rate):
     return s - 4.0 * amplitude
 
 
-def _triangle_sweep(amplitude, rate, s0, n_samples, advance, sample):
-    """Rows sample(v, state) at n_samples + 1 even instants of one
-    triangle period; advance(state, v, dt) carries the state across
-    each interval at the interval's end voltage."""
+def _triangle_sweep(amplitude, rate, xs, n_samples, solver, limit, p):
+    """Rows (v, i, *xs) at n_samples + 1 even instants of one triangle
+    period: xs marches each interval with solver(v, p) at its end voltage,
+    and i is that same solve's last-cell current at the end gaps."""
     for name, value in (("amplitude", amplitude), ("rate", rate)):
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     total = 4.0 * amplitude / rate
-    state = s0
-    rows = []
-    t_prev = 0.0
+    rows, t_prev = [], 0.0
     for k in range(n_samples + 1):
         t = total * k / n_samples
         v = triangle_voltage(t, amplitude, rate)
+        solve = solver(v, p)
         if t > t_prev:
-            state = advance(state, v, t - t_prev)
+            xs = march(xs, solve, t - t_prev, p, limit)
             t_prev = t
-        rows.append(sample(v, state))
+        rows.append((v, solve(xs)[-1].i_total, *xs))
     return rows
 
 
 def sweep_iv_unit(amplitude, rate, s0, p, n_samples=1500):
     """Triangular quasi-static sweep of a single cell.
 
-    Returns a list of (v, i, x) rows, one per sample instant, after
-    advancing the state across each sampling interval.
+    Returns (v, i, x) rows, one per sample instant, from s0's gap
+    clamped into [x_min, l].
     """
-    return _triangle_sweep(
-        amplitude, rate, s0, n_samples,
-        lambda s, v, dt: step_transient(s, v, dt, p),
-        lambda v, s: (v, solve_cell_dc(v, s.x, p).i_total, s.x))
+    return _triangle_sweep(amplitude, rate, (min(max(s0.x, p.x_min), p.l),),
+                           n_samples, _CellSolve, MOTION_LIMIT, p)
 
 
 def extract_unit_landmarks(rows, p):

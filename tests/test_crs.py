@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from crsadder import crs
 from crsadder.crs import (
+    DEFAULT_CRS_AMPLITUDE,
     DIVIDER_KCL_FLOOR,
     DIVIDER_KCL_TOL,
     CrsDeviceState,
@@ -25,7 +26,13 @@ from crsadder.crs import (
     step_crs_transient,
     sweep_iv_crs,
 )
-from crsadder.ecm import KVL_TOL, ConvergenceError, EcmParams, EcmState
+from crsadder.ecm import (
+    DEFAULT_SWEEP_RATE,
+    KVL_TOL,
+    ConvergenceError,
+    EcmParams,
+    EcmState,
+)
 
 P = EcmParams()
 MID = P.gap_midpoint()
@@ -366,6 +373,35 @@ def test_sweep_write_amplitude_clears_thresholds(crs_sweep):
     _, th = crs_sweep
     assert V_W / 2 < th.v_th1
     assert V_W > th.v_th2
+
+
+def test_sweep_rows_match_cold_solves(crs_sweep):
+    # a row samples its march's own divider solve, warm started where the
+    # gaps moved: a cold solve at the row's gaps gives the same current
+    # to 1e-10 and the same thresholds
+    rows, th = crs_sweep
+    cold = [(v, series_current(v, CrsDeviceState(EcmState(xt), EcmState(xb)),
+                               P), xt, xb, lab)
+            for v, _, xt, xb, lab in rows]
+    for row, ref in zip(rows, cold):
+        assert abs(row[1] - ref[1]) <= 1e-10 * abs(ref[1]), row
+    assert crs._extract_thresholds(cold, 0.5) == th
+
+
+def test_sweep_solves_each_unmoved_row_once(monkeypatch):
+    # a row where nothing moved reuses the march's solve; the bound is the
+    # default sweep's count with that reuse (2,545 when each row re-solved)
+    calls = []
+    divider = crs.solve_crs_divider
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return divider(*args, **kwargs)
+
+    monkeypatch.setattr(crs, "solve_crs_divider", counted)
+    sweep_iv_crs(DEFAULT_CRS_AMPLITUDE, DEFAULT_SWEEP_RATE,
+                 crs_state_for_bit(0, P), P)
+    assert len(calls) <= 1787
 
 
 def test_sweep_subthreshold_raises():

@@ -19,6 +19,7 @@ from crsadder.ecm import (
     DEFAULT_SWEEP_RATE,
     DEFAULT_UNIT_AMPLITUDE,
     KVL_TOL,
+    CellSolution,
     ConvergenceError,
     EcmParams,
     EcmState,
@@ -77,6 +78,15 @@ def test_ionic_negative_form_saturates():
 def test_ionic_rejects_nonfinite():
     with pytest.raises(ValueError):
         ionic_current(float("nan"), 1, P)
+
+
+def test_cell_solution_fields_and_immutability():
+    assert CellSolution._fields == (
+        "v_cell", "x", "eta1", "eta2", "v_tu", "i_ion", "i_tu", "i_total",
+        "r_ion", "r_fil", "kvl_residual", "g_diff")
+    sol = solve_cell_dc(0.5, 5e-9, P)
+    with pytest.raises(AttributeError):
+        sol.x = 1e-9
 
 
 def test_tunnel_zero_bias():
@@ -357,6 +367,21 @@ def test_sweep_rows_golden():
                          EcmState(P.l), P, n_samples=300)
     digest = hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
     assert digest == GOLD_UNIT_SWEEP_300
+
+
+def test_sweep_solves_each_unmoved_row_once(monkeypatch):
+    # a row where nothing moved reuses the march's solve; the bound is the
+    # default sweep's count with that reuse (3,884 when each row re-solved)
+    calls = []
+    solve = ecm.solve_cell_dc
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ecm, "solve_cell_dc", counted)
+    sweep_iv_unit(DEFAULT_UNIT_AMPLITUDE, DEFAULT_SWEEP_RATE, EcmState(P.l), P)
+    assert len(calls) <= 3065
 
 
 def test_sweep_landmarks_default():

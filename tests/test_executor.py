@@ -403,19 +403,19 @@ def test_pulse_table_is_exact(params, pulse, cached_crs_pulse, monkeypatch):
         assert run_device(prog, a, b, 0, pp=pulse, ep=params) == tabled
 
 
+@pytest.mark.parametrize("n", (3, 4))
 @pytest.mark.parametrize("gen,subtract", KINDS)
-def test_device_equals_behavioral_exhaustive_n3(params, pulse,
-                                               cached_crs_pulse, monkeypatch,
-                                               gen, subtract):
-    """Every 3-bit operand pair, all four kinds on memoized pulses: result
+def test_device_equals_behavioral_exhaustive(params, pulse, cached_crs_pulse,
+                                             monkeypatch, gen, subtract, n):
+    """Every n-bit operand pair, all four kinds on memoized pulses: result
     bits against the oracle; per-step decoded states, line levels and
     step-read verdicts against the behavioral run."""
     monkeypatch.setattr(executor, "crs_pulse", cached_crs_pulse)
-    prog = gen(3, subtract=subtract)
+    prog = gen(n, subtract=subtract)
     n_steps = len(prog.steps)
-    for av in range(8):
-        for bv in range(8):
-            a, b = bits(av, 3), bits(bv, 3)
+    for av in range(2 ** n):
+        for bv in range(2 ** n):
+            a, b = bits(av, n), bits(bv, n)
             dev = run_device(prog, a, b, 0, pp=pulse, ep=params)
             beh = run_behavioral(prog, a, b, 0)
             want = oracles.sub_oracle(a, b) if subtract \
