@@ -41,7 +41,6 @@ from .crs import (
 )
 from .ecm import params_text
 from .logic import word_to_str
-from .microcode import validate_program
 
 
 class ExecutionError(RuntimeError):
@@ -117,93 +116,56 @@ def _check_operands(p, a_bits, b_bits, c0):
         raise ExecutionError(
             f"operands must be {p.n} bits, got {len(a_bits)} and {len(b_bits)}")
     for bit in (*a_bits, *b_bits, c0):
-        if bit not in (0, 1):
+        if not isinstance(bit, int) or bit not in (0, 1):
             raise ExecutionError(f"operand bits must be 0/1, got {bit!r}")
-    diags = validate_program(p)
-    if diags:
-        raise ExecutionError("invalid program: " + "; ".join(diags))
-
-
-def _resolve(sig, a_bits, b_bits, c0, registers, forwards):
-    """Signal -> logic level: 0, 1 or the string 'ground'.  The program
-    is validated first, so every register and forward it names is set."""
-    k = sig.kind
-    if k == "ground":
-        return "ground"
-    if k == "const0":
-        return 0
-    if k == "const1":
-        return 1
-    if k == "carry_in":
-        return c0
-    if k == "a":
-        return a_bits[sig.index]
-    if k == "b":
-        return b_bits[sig.index]
-    if k == "not_b":
-        return 1 - b_bits[sig.index]
-    if k == "reg":
-        return registers[sig.name]
-    return forwards[str(sig.source)]   # read_fwd
 
 
 def _interpret(p, a_bits, b_bits, c0, cells):
     """Run p on a cell backend; returns (steps, reads, result_bits).
 
-    Each step resolves once into its driven wordline levels, its bitline
-    levels and the (cell, wl, bl) levels of every cell whose two lines
-    differ (equal levels hold at both levels), and goes to the backend
-    whole.  A step that forwards a read-out takes two half windows: the
-    forwarded bitlines stay grounded while the reads happen, then carry
-    the values read.
+    The program's slot table, lowered on its first run, maps every line
+    to a slot of this run's level list.  Each step goes to the backend
+    whole: its wordline levels, its bitline levels and the (cell, wl,
+    bl) levels of every cell whose two lines differ (equal levels hold
+    at both levels).  A step that forwards a read-out takes two half
+    windows: the forwarded bitlines stay grounded while the reads happen
+    (their slots hold ground until then), then carry the values read.
     """
     _check_operands(p, a_bits, b_bits, c0)
-    c0 = 1 if p.subtract else c0
-    by_line = {}
-    for c in p.used_cells:
-        by_line.setdefault((c.array, c.wl), {})[c.bl] = str(c)
-    width = {}
-    for step in p.steps:
-        for d in step.drives:
-            width[d.array] = max(width.get(d.array, 0), len(d.bls))
-    labels = {a: [f"A{a}/{bl}" for bl in range(w)] for a, w in width.items()}
-    registers = {}
+    try:
+        n_slots, table = p.slot_table
+    except ValueError as e:
+        raise ExecutionError(f"invalid program: {e}") from None
+    vals = ["ground", 0, 1, 1 if p.subtract else c0, *a_bits, *b_bits,
+            *[1 - b for b in b_bits]]
+    vals += ["ground"] * (n_slots - len(vals))
     steps, reads = [], []
-    for si, step in enumerate(p.steps):
-        wls, wl_levels, bl_levels, pairs, pending = {}, {}, {}, [], []
-        for d in step.drives:
-            w = _resolve(d.wl, a_bits, b_bits, c0, registers, {})
-            wls[(d.array, d.wl_index)] = wl_levels[f"A{d.array}"] = w
-            on_line = by_line.get((d.array, d.wl_index), {})
-            for bl, sig in enumerate(d.bls):
-                label, key = labels[d.array][bl], on_line.get(bl)
-                if sig.kind == "read_fwd":
-                    b = "ground"   # undriven until the read lands
-                    pending.append((label, sig, w, key))
-                else:
-                    b = _resolve(sig, a_bits, b_bits, c0, registers, {})
+    for si, (annotation, drives, step_reads, forwards) in enumerate(table):
+        wls, wl_levels, bl_levels, pairs = {}, {}, {}, []
+        for wl_key, wl_label, labels, keys, wl_slot, slots in drives:
+            w = wls[wl_key] = wl_levels[wl_label] = vals[wl_slot]
+            levels = [vals[i] for i in slots]
+            bl_levels.update(zip(labels, levels))
+            pairs += [(key, w, b) for key, b in zip(keys, levels)
+                      if b != w and key is not None]
+        got = cells.step(si, annotation, wls, pairs,
+                         [key for key, *_ in step_reads],
+                         0 if forwards else None)
+        for (key, latch, reg, slot), (bit, spike, peak) in zip(step_reads, got):
+            vals[slot] = bit
+            if reg is not None:
+                vals[reg] = bit
+            reads.append(ReadRecord(si, key, latch, spike, bit, peak))
+        if forwards:
+            held = {key for *_, key in forwards}
+            pairs = [c for c in pairs if c[0] not in held]
+            for wl_key, label, slot, key in forwards:
+                w, b = wls[wl_key], vals[slot]
                 bl_levels[label] = b
                 if key is not None and b != w:
                     pairs.append((key, w, b))
-        got = cells.step(si, step.annotation, wls, pairs,
-                         [str(r.cell) for r in step.reads],
-                         0 if pending else None)
-        forwards = {}
-        for r, (bit, spike, peak) in zip(step.reads, got):
-            forwards[str(r.cell)] = bit
-            if r.latch:
-                registers[r.latch] = bit
-            reads.append(ReadRecord(si, str(r.cell), r.latch, spike, bit, peak))
-        if pending:
-            held = {key for *_, key in pending}
-            pairs = [c for c in pairs if c[0] not in held]
-            for label, sig, w, key in pending:
-                b = bl_levels[label] = _resolve(sig, a_bits, b_bits, c0,
-                                                registers, forwards)
-                if key is not None and b != w:
-                    pairs.append((key, w, b))
-            cells.step(si, step.annotation, wls, pairs, [], 1)
-        steps.append(StepRecord(si, step.annotation, wl_levels, bl_levels,
+            cells.step(si, annotation, wls, pairs, [], 1)
+        steps.append(StepRecord(si, annotation, wl_levels, bl_levels,
                                 cells.snapshot()))
     result = []
     for c in p.result_cells:
@@ -213,8 +175,13 @@ def _interpret(p, a_bits, b_bits, c0, cells):
     return tuple(steps), tuple(reads), tuple(result)
 
 
+# fsm_next tabulated: its argument checks cost more than the rule itself
+_NEXT = {(z, w, b): fsm_next(z, w, b)
+         for z in (0, 1) for w in (0, 1) for b in (0, 1)}
+
+
 class _BitCells:
-    """Behavioral backend: one bit per cell, updated by fsm_next."""
+    """Behavioral backend: one bit per cell, updated by fsm_next's table."""
 
     def __init__(self, p):
         self.state = {str(c): 0 for c in p.used_cells}
@@ -225,7 +192,7 @@ class _BitCells:
         state = self.state
         for key, w, b in pairs:
             if w != "ground" and b != "ground":   # half-selected: holds
-                state[key] = fsm_next(state[key], w, b)
+                state[key] = _NEXT[state[key], w, b]
         return got
 
     def read(self, key):

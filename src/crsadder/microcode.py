@@ -33,6 +33,7 @@ wordline a, so one "carry" step drives both; "sum2" is the second:
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -192,6 +193,12 @@ class Program:
     steps: tuple[Step, ...]
     result_cells: tuple[CellAddr, ...]   # significance order, n+1 cells
     used_cells: tuple[CellAddr, ...]
+
+    @functools.cached_property
+    def slot_table(self):
+        """lower_program(self), built on first use and kept; an invalid
+        program raises ValueError on every use."""
+        return lower_program(self)
 
 
 # ======================================================================
@@ -362,6 +369,62 @@ def validate_program(p):
             if r.latch:
                 latched.add(r.latch)
     return diags
+
+
+def lower_program(p):
+    """Validate p and lower it to an operand-free slot table.
+
+    Every signal becomes an index into a run's list of line levels:
+    ground, const0, const1, carry_in, the bits of a, of b and of NOT b,
+    then one slot per latch register and one per read (the value it
+    forwards).  Returns (number of slots, steps), each step a tuple
+    (annotation, drives, reads, forwards) of:
+      drive    (wordline key, wordline label, bitline labels, used-cell
+               key or None per bitline, wordline slot, bitline slots);
+               all but the slots are shared by every drive of one line
+      read     (cell key, latch, register slot or None, read slot)
+      forward  (wordline key, bitline label, read slot, cell key or None)
+               for each bitline that carries a read-out of its step
+    Raises ValueError listing the diagnostics of an invalid program.
+    """
+    diags = validate_program(p)
+    if diags:
+        raise ValueError("; ".join(diags))
+    sigs = [GROUND, CONST0, CONST1, CARRY_IN]
+    for make in (input_a, input_b, not_b):
+        sigs += [make(i) for i in range(p.n)]
+    sigs += dict.fromkeys(reg(r.latch) for s in p.steps for r in s.reads
+                          if r.latch)
+    slot = {sig: k for k, sig in enumerate(sigs)}
+    free = len(slot)
+    on_line, lines, steps = {}, {}, []
+    for c in p.used_cells:
+        on_line.setdefault((c.array, c.wl), {})[c.bl] = str(c)
+    for step in p.steps:
+        reads = []
+        for r in step.reads:
+            slot[read_forward(r.cell)] = free
+            reads.append((str(r.cell), r.latch,
+                          slot[reg(r.latch)] if r.latch else None, free))
+            free += 1
+        drives, forwards = [], []
+        for d in step.drives:
+            wl_key, width = (d.array, d.wl_index), len(d.bls)
+            line = lines.get((wl_key, width))
+            if line is None:
+                cells = on_line.get(wl_key, {})
+                line = lines[(wl_key, width)] = (
+                    wl_key, f"A{d.array}",
+                    tuple(f"A{d.array}/{bl}" for bl in range(width)),
+                    tuple(cells.get(bl) for bl in range(width)))
+            slots = tuple(slot[sig] for sig in d.bls)
+            drives.append((*line, slot[d.wl], slots))
+            forwards += [(wl_key, line[2][bl], slots[bl], line[3][bl])
+                         for bl, sig in enumerate(d.bls)
+                         if sig.kind == "read_fwd"]
+        steps.append((step.annotation, tuple(drives), tuple(reads),
+                      tuple(forwards)))
+    return free, tuple(steps)
 
 
 # ======================================================================

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from crsadder import executor
+from crsadder import executor, microcode
 from crsadder.crs import (
     CrsLogicState,
     crs_pulse,
@@ -120,6 +120,42 @@ def test_behavioral_operand_checks():
         run_behavioral(prog, [1, 0], [1, 0], 2)
 
 
+@pytest.mark.parametrize("level", ["behavioral", "device"])
+def test_operand_bits_must_be_ints(level, params, pulse):
+    def run(a, b, c0):
+        if level == "behavioral":
+            return run_behavioral(gen_pc_adder(1), a, b, c0)
+        return run_device(gen_pc_adder(1), a, b, c0, pp=pulse, ep=params)
+
+    for a, b, c0 in (([1.0], [0], 0), ([1], [0.0], 0), ([1], [0], 1.0)):
+        with pytest.raises(ExecutionError, match="must be 0/1"):
+            run(a, b, c0)
+    if level == "behavioral":
+        assert run([True], [False], True) == run([1], [0], 1)
+
+
+def test_program_is_lowered_once(monkeypatch, params, pulse,
+                                 cached_crs_pulse):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return validate_program(p)
+
+    monkeypatch.setattr(microcode, "validate_program", counted)
+    monkeypatch.setattr(executor, "crs_pulse", cached_crs_pulse)
+    p = gen_pc_adder(1)
+    run_behavioral(p, [1], [0], 0)
+    run_device(p, [0], [1], 1, pp=pulse, ep=params)
+    run_behavioral(p, [1], [1], 1)
+    assert len(calls) == 1
+    broken = dataclasses.replace(p, result_cells=p.result_cells[:1])
+    for _ in range(2):
+        with pytest.raises(ExecutionError, match="invalid program"):
+            run_behavioral(broken, [1], [0], 0)
+    assert len(calls) == 3
+
+
 def test_behavioral_rejects_register_before_latch():
     p = gen_tc_adder(1)
     steps = list(p.steps)
@@ -221,6 +257,34 @@ def test_behavioral_artifacts_golden(tmp_path, scheme, subtract):
     digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest()
                     for f in (states, verdicts))
     assert digests == GOLDEN_N4[(scheme, subtract)]
+
+
+# SHA-256 of the repr of every StepRecord (line levels and cell states)
+# and ReadRecord of run_behavioral on fixed words, recorded before
+# programs were lowered to slot tables
+GOLDEN_OPERANDS = {8: (0b10110101, 0b01101110),
+                   64: (0xB7E151628AED2A6B, 0x243F6A8885A308D3)}
+GOLDEN_LINES = {
+    (8, "pc", False): "e2d5e66b6021f1279d8cfeac8cf7687998023e3203e3d944ed3e70eead4cccfe",
+    (8, "pc", True): "8b37349c8b5118d3a4e11b4b839b1e1b617b8c4e06259867716346eed97d69b1",
+    (8, "tc", False): "293a9d1e65e0a8f508dea14bf13f6168fe7baebeeb478bdca8ad9d7ecfc06df3",
+    (8, "tc", True): "e8118fa8a154dd09aaa1cab18f673c8a72499da091b4b8af6eaf27373f87f099",
+    (64, "pc", False): "0902bb9568845306837deeb38c04194038384d749ae671817e0cb14c9035f6cd",
+    (64, "pc", True): "4f6fae6c47b92ea2b0ba064398d936e1ed9eae5d18ea04cdf40429e6f91f4a62",
+    (64, "tc", False): "adde77114fa64a25c1d51afebb79d133859b24f6967a756984034a178a00295e",
+    (64, "tc", True): "30428e00ab9117921949abcdb62b411c6160e8857541d005a281bcf60b3edd86",
+}
+
+
+@pytest.mark.parametrize("n,scheme,subtract", sorted(GOLDEN_LINES))
+def test_behavioral_line_levels_golden(n, scheme, subtract):
+    gen = {"pc": gen_pc_adder, "tc": gen_tc_adder}[scheme]
+    a, b = GOLDEN_OPERANDS[n]
+    tr = run_behavioral(gen(n, subtract=subtract), bits(a, n), bits(b, n), 0)
+    h = hashlib.sha256()
+    for rec in tr.steps + tr.reads:
+        h.update(repr(rec).encode())
+    assert h.hexdigest() == GOLDEN_LINES[(n, scheme, subtract)]
 
 
 # ----------------------------------------------------------------------
