@@ -74,6 +74,14 @@ def _outpath(args, name):
     return os.path.join(args.out, name)
 
 
+def _write(args, name, text):
+    """Write text to name under --out; returns the path."""
+    path = _outpath(args, name)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    return path
+
+
 # ----------------------------------------------------------------------
 # sweep
 # ----------------------------------------------------------------------
@@ -191,17 +199,10 @@ def cmd_adder(args):
 def cmd_emit(args):
     prog = GENERATORS[args.scheme](args.n, subtract=args.subtract)
     base = f"program_{args.scheme}_n{args.n}"
-    json_path = _outpath(args, base + ".json")
-    with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(program_to_json(prog))
-    table = render_step_table(prog)
-    txt_path = _outpath(args, base + ".txt")
-    with open(txt_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(table)
-    if args.format == "json":
-        print(program_to_json(prog), end="")
-    else:
-        print(table, end="")
+    doc, table = program_to_json(prog), render_step_table(prog)
+    json_path = _write(args, base + ".json", doc)
+    txt_path = _write(args, base + ".txt", table)
+    print(doc if args.format == "json" else table, end="")
     print(f"wrote {json_path} and {txt_path}", file=sys.stderr)
     return 0
 
@@ -212,12 +213,8 @@ def cmd_compare(args):
     n_values = list(range(args.n_min, args.n_max + 1))
     md = comparison_markdown(n_values)
     csv = comparison_csv(n_values)
-    md_path = _outpath(args, "comparison.md")
-    with open(md_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(md)
-    csv_path = _outpath(args, "comparison.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(csv)
+    md_path = _write(args, "comparison.md", md)
+    csv_path = _write(args, "comparison.csv", csv)
     if args.format == "csv":
         print(csv, end="")
     elif args.format == "json":

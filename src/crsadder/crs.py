@@ -34,7 +34,6 @@ from .ecm import (
     KVL_TOL,
     CellSolution,
     ConvergenceError,
-    EcmState,
     cell_constants,
     eta_step,
     evaluate_branch,
@@ -61,12 +60,6 @@ class CrsLogicState(enum.Enum):
 
 
 @dataclass(frozen=True)
-class CrsDeviceState:
-    top: EcmState
-    bottom: EcmState
-
-
-@dataclass(frozen=True)
 class CrsThresholds:
     """Switching landmarks of a full CRS sweep, None where not observed.
 
@@ -90,11 +83,11 @@ def fsm_next(z, wl, bl):
 
 
 def crs_state_for_bit(bit, p):
-    """Fully formed device state storing the given bit."""
+    """Gaps (x_top, x_bottom) of a fully formed pair storing the given bit."""
     if bit == 0:
-        return CrsDeviceState(EcmState(p.x_min), EcmState(p.l))
+        return p.x_min, p.l
     if bit == 1:
-        return CrsDeviceState(EcmState(p.l), EcmState(p.x_min))
+        return p.l, p.x_min
     raise ValueError(f"bit must be 0 or 1, got {bit!r}")
 
 
@@ -111,13 +104,13 @@ def classify(x_top, x_bot, gap_threshold):
     return None
 
 
-def decode_state(s, gap_threshold):
-    """Logic state of the pair; a cell is low-ohmic iff x < gap_threshold."""
-    state = classify(s.top.x, s.bottom.x, gap_threshold)
+def decode_state(xs, gap_threshold):
+    """Logic state of gaps xs; a cell is low-ohmic iff x < gap_threshold."""
+    state = classify(*xs, gap_threshold)
     if state is None:
         raise IndeterminateStateError(
-            f"both cells high-ohmic (x_top={s.top.x:.3e}, "
-            f"x_bottom={s.bottom.x:.3e})")
+            f"both cells high-ohmic (x_top={xs[0]:.3e}, "
+            f"x_bottom={xs[1]:.3e})")
     return state
 
 
@@ -232,11 +225,6 @@ class _PairSolve:
         return self.at(xs)[2:]
 
 
-def series_current(v_applied, s, p):
-    """Terminal current through the pair at a given applied voltage."""
-    return _PairSolve(v_applied, p).at((s.top.x, s.bottom.x))[1]
-
-
 # ======================================================================
 # transient of the loaded pair
 # ======================================================================
@@ -244,35 +232,27 @@ def series_current(v_applied, s, p):
 CRS_MOTION_LIMIT = 0.02   # max per-substep gap motion, fraction of span
 
 
-def step_crs_transient(s, v_applied, dt, p):
-    """Advance the pair by dt with v_applied split +v/2 on wl, -v/2 on
-    bl: a two-cell march with CRS_MOTION_LIMIT."""
-    x_t, x_b = march((s.top.x, s.bottom.x), _PairSolve(v_applied, p), dt,
-                     p, CRS_MOTION_LIMIT)
-    return CrsDeviceState(EcmState(x_t), EcmState(x_b))
+def crs_pulse(xs, v_applied, t_pulse, p, n_samples):
+    """Apply one rectangular pulse, v_applied split +v/2 on wl, -v/2 on
+    bl, to the gaps xs = (x_top, x_bottom); record the current waveform.
 
-
-def crs_pulse(s, v_applied, t_pulse, p, n_samples):
-    """Apply one rectangular pulse; record the current waveform.
-
-    Returns (state_after, peak_abs_current, samples); samples are
-    (t, v_m, j_series, x_top, x_bottom) rows, n_samples of them spread
-    evenly over the pulse.  Each gap pair is solved once: a sample row is
-    the divider solve that the next interval starts from.
+    Returns (gaps_after, peak_abs_current, samples); samples are (t, v_m,
+    j_series, x_top, x_bottom) rows, n_samples of them spread evenly over
+    the pulse.  Each gap pair is solved once: a sample row is the divider
+    solve that the next interval starts from.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
     solve = _PairSolve(v_applied, p)
     sample_dt = t_pulse / n_samples
-    x_t, x_b = s.top.x, s.bottom.x
     samples = []
     t = 0.0
     for _ in range(n_samples):
-        x_t, x_b = march((x_t, x_b), solve, sample_dt, p, CRS_MOTION_LIMIT)
-        vm, j, _, _ = solve.at((x_t, x_b))
+        xs = march(xs, solve, sample_dt, p, CRS_MOTION_LIMIT)
+        vm, j, _, _ = solve.at(xs)
         t += sample_dt
-        samples.append((t, vm, j, x_t, x_b))
-    return CrsDeviceState(EcmState(x_t), EcmState(x_b)), solve.peak, samples
+        samples.append((t, vm, j, *xs))
+    return xs, solve.peak, samples
 
 
 # ======================================================================
@@ -283,7 +263,7 @@ DEFAULT_CRS_AMPLITUDE = 2.0
 
 
 def sweep_iv_crs(amplitude, rate, s0, p, n_samples=1200, frac=0.5):
-    """Triangular sweep 0 -> +A -> -A -> 0 of the loaded pair.
+    """Triangular sweep 0 -> +A -> -A -> 0 of the loaded pair from gaps s0.
 
     Returns (rows, thresholds).  Each row is (v, j, x_top, x_bottom,
     label) with label the classified logic state or "indeterminate".
@@ -293,8 +273,8 @@ def sweep_iv_crs(amplitude, rate, s0, p, n_samples=1200, frac=0.5):
     """
     if not 0.0 < frac < 1.0:
         raise ValueError(f"frac must lie in (0, 1), got {frac!r}")
-    rows = _triangle_sweep(amplitude, rate, (s0.top.x, s0.bottom.x),
-                           n_samples, _PairSolve, CRS_MOTION_LIMIT, p)
+    rows = _triangle_sweep(amplitude, rate, s0, n_samples, _PairSolve,
+                           CRS_MOTION_LIMIT, p)
     mid = p.gap_midpoint()
     rows = [(*r, str(classify(*r[2:], mid) or "indeterminate")) for r in rows]
     th = _extract_thresholds(rows, frac)

@@ -426,14 +426,6 @@ class _CellSolve:
         return self.sols
 
 
-def step_transient(s, v_cell, dt, p):
-    """Advance one cell by dt under constant applied voltage: a one-cell
-    march with MOTION_LIMIT from the gap clamped into [x_min, l]."""
-    x0 = min(max(s.x, p.x_min), p.l)
-    (x,) = march((x0,), _CellSolve(v_cell, p), dt, p, MOTION_LIMIT)
-    return EcmState(x)
-
-
 # ======================================================================
 # quasi-static I-V sweep
 # ======================================================================

@@ -7,7 +7,7 @@ Behavioral backend: every cell is a one-bit state machine updated by
 fsm_next with the step's resolved logic levels; reads return the stored
 bit and leave the cell at ONE.
 
-Device backend: every cell is a pair of ECM gap states.  Each step becomes
+Device backend: every cell is a pair of ECM gaps.  Each step becomes
 one rectangular pulse of width t_pulse; line levels map to potentials
 ('1' -> +V_w/2, '0' -> -V_w/2, ground -> 0) so intended writes see the
 full +-V_w, holds see 0, and every other touched cell sees at most
@@ -32,14 +32,15 @@ import math
 from dataclasses import dataclass
 
 from .crs import (
+    CRS_MOTION_LIMIT,
     CrsLogicState,
+    _PairSolve,
     crs_pulse,
     crs_state_for_bit,
     decode_state,
     fsm_next,
-    step_crs_transient,
 )
-from .ecm import params_text
+from .ecm import march, params_text
 from .logic import word_to_str
 
 
@@ -233,12 +234,12 @@ class _PairCells:
             return 0.0
         return 0.5 * self.pp.v_w if level == 1 else -0.5 * self.pp.v_w
 
-    def _pulse(self, s, v, dur, n):
-        """crs_pulse(s, v, dur, ep, n_samples=n), each distinct one once."""
-        key = (s.top.x, s.bottom.x, v, dur, n)
+    def _pulse(self, xs, v, dur, n):
+        """crs_pulse(xs, v, dur, ep, n_samples=n), each distinct one once."""
+        key = (*xs, v, dur, n)
         got = self.pulses.get(key)
         if got is None:
-            got = self.pulses[key] = crs_pulse(s, v, dur, self.ep,
+            got = self.pulses[key] = crs_pulse(xs, v, dur, self.ep,
                                                n_samples=n)
         return got
 
@@ -252,7 +253,7 @@ class _PairCells:
         pp = self.pp
         dur, n, t0 = pp.t_pulse, SAMPLES_PER_PULSE, self.t
         if half is not None:
-            dur, n = 0.5 * pp.t_pulse, max(2, SAMPLES_PER_PULSE // 2)
+            dur, n = 0.5 * pp.t_pulse, SAMPLES_PER_PULSE // 2
             if half:
                 t0 += dur
         waves, peaks = {}, {}
@@ -278,17 +279,17 @@ class _PairCells:
         """Destructive read: a full write-ONE pulse that spikes iff the
         cell held ZERO; returns (bit, spike, peak)."""
         pp = self.pp
-        s, peak, _ = self._pulse(self.states[key], pp.v_w, pp.t_pulse,
-                                 SAMPLES_PER_PULSE)
-        if decode_state(s, self.ep.gap_midpoint()) is not CrsLogicState.ONE:
+        xs, peak, _ = self._pulse(self.states[key], pp.v_w, pp.t_pulse,
+                                  SAMPLES_PER_PULSE)
+        if decode_state(xs, self.ep.gap_midpoint()) is not CrsLogicState.ONE:
             raise ExecutionError("read did not leave the cell at ONE")
-        self.states[key] = s
+        self.states[key] = xs
         return self._verdict(peak)
 
     def snapshot(self):
         mid = self.ep.gap_midpoint()
-        return {key: str(decode_state(s, mid))
-                for key, s in self.states.items()}
+        return {key: str(decode_state(xs, mid))
+                for key, xs in self.states.items()}
 
 
 def run_behavioral(p, a_bits, b_bits, c0=0):
@@ -310,15 +311,16 @@ def run_device(p, a_bits, b_bits, c0=0, *, pp, ep):
 # ======================================================================
 
 def time_to_flip(v_apply, ep, t_limit=10.0):
-    """Time for a ZERO pair to decode as ONE under constant v_apply."""
-    s = crs_state_for_bit(0, ep)
+    """Time for a ZERO pair to decode as ONE under constant v_apply, on a
+    geometric grid of intervals, each marched with a fresh divider solve."""
+    xs = crs_state_for_bit(0, ep)
     mid = ep.gap_midpoint()
     t = 0.0
     dt = 1e-8
     while t < t_limit:
-        s = step_crs_transient(s, v_apply, dt, ep)
+        xs = march(xs, _PairSolve(v_apply, ep), dt, ep, CRS_MOTION_LIMIT)
         t += dt
-        if decode_state(s, mid) is CrsLogicState.ONE:
+        if decode_state(xs, mid) is CrsLogicState.ONE:
             return t
         dt = min(dt * 1.25, t_limit / 50.0)
     return math.inf
@@ -334,8 +336,7 @@ def _half_select_drift(v_half, t_pulse, ep):
         for sign in (+1.0, -1.0):
             s0 = crs_state_for_bit(bit, ep)
             s1, _, _ = crs_pulse(s0, sign * v_half, t_pulse, ep, n_samples=4)
-            drift = max(abs(s1.top.x - s0.top.x),
-                        abs(s1.bottom.x - s0.bottom.x))
+            drift = max(abs(a - b) for a, b in zip(s1, s0))
             worst = max(worst, drift / span)
             if decode_state(s1, mid) != decode_state(s0, mid):
                 ok = False
@@ -389,8 +390,9 @@ def calibrate_pulse(ep, target_margin=100.0, v_seed=2.6):
         report["i_spike_a"] = i_spike
         return PulseParams(v_w=v_w, t_pulse=t_pulse, i_spike=i_spike)
     raise CalibrationError(
-        f"no amplitude in [{v_seed}, {v_w}] V satisfied the half-select "
-        f"contract at margin {target_margin}", {"attempts": attempts})
+        f"no amplitude in [{v_seed}, {attempts[-1]['v_w']:.6g}] V satisfied "
+        f"the half-select contract at margin {target_margin}",
+        {"attempts": attempts})
 
 
 # ======================================================================

@@ -210,6 +210,11 @@ def _check_width(n):
         raise ValueError(f"operand width must be an integer >= 1, got {n!r}")
 
 
+def _b_signals(subtract):
+    """(b, NOT b) signal makers: subtract swaps their roles."""
+    return (not_b, input_b) if subtract else (input_b, not_b)
+
+
 def gen_pc_adder(n, subtract=False):
     """Compile the two-array precalculation schedule for n-bit operands.
 
@@ -219,9 +224,7 @@ def gen_pc_adder(n, subtract=False):
     forces the carry-in to 1, turning a + b into a - b.
     """
     _check_width(n)
-    # subtract swaps the roles of b and NOT b at signal level
-    sig_b = (lambda i: not_b(i)) if subtract else (lambda i: input_b(i))
-    sig_nb = (lambda i: input_b(i)) if subtract else (lambda i: not_b(i))
+    sig_b, sig_nb = _b_signals(subtract)
     width = n + 1
     calc_cells = tuple(CellAddr(0, 0, k) for k in range(width))
     aux_cells = tuple(CellAddr(1, 0, k) for k in range(width))
@@ -267,8 +270,7 @@ def gen_tc_adder(n, subtract=False):
     significance) a write-back restoring the carry into the cell.
     """
     _check_width(n)
-    sig_b = (lambda i: not_b(i)) if subtract else (lambda i: input_b(i))
-    sig_nb = (lambda i: input_b(i)) if subtract else (lambda i: not_b(i))
+    sig_b, sig_nb = _b_signals(subtract)
     width = n + 1
     n_bls = width + 1
     tc_cell = CellAddr(0, 0, 0)

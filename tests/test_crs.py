@@ -12,7 +12,7 @@ from crsadder.crs import (
     DEFAULT_CRS_AMPLITUDE,
     DIVIDER_KCL_FLOOR,
     DIVIDER_KCL_TOL,
-    CrsDeviceState,
+    CRS_MOTION_LIMIT,
     CrsLogicState,
     IndeterminateStateError,
     ThresholdExtractionError,
@@ -21,9 +21,7 @@ from crsadder.crs import (
     crs_state_for_bit,
     decode_state,
     fsm_next,
-    series_current,
     solve_crs_divider,
-    step_crs_transient,
     sweep_iv_crs,
 )
 from crsadder.ecm import (
@@ -31,7 +29,7 @@ from crsadder.ecm import (
     KVL_TOL,
     ConvergenceError,
     EcmParams,
-    EcmState,
+    march,
 )
 
 P = EcmParams()
@@ -83,17 +81,14 @@ def test_fsm_rejects_nonbits():
 # ----------------------------------------------------------------------
 
 def test_decode_corner_states():
-    assert decode_state(CrsDeviceState(EcmState(P.x_min), EcmState(P.l)),
-                        MID) is CrsLogicState.ZERO
-    assert decode_state(CrsDeviceState(EcmState(P.l), EcmState(P.x_min)),
-                        MID) is CrsLogicState.ONE
-    assert decode_state(CrsDeviceState(EcmState(P.x_min), EcmState(P.x_min)),
-                        MID) is CrsLogicState.ON
+    assert decode_state((P.x_min, P.l), MID) is CrsLogicState.ZERO
+    assert decode_state((P.l, P.x_min), MID) is CrsLogicState.ONE
+    assert decode_state((P.x_min, P.x_min), MID) is CrsLogicState.ON
 
 
 def test_decode_rejects_double_hrs():
     with pytest.raises(IndeterminateStateError):
-        decode_state(CrsDeviceState(EcmState(P.l), EcmState(P.l)), MID)
+        decode_state((P.l, P.l), MID)
 
 
 def test_classify_total():
@@ -149,8 +144,7 @@ def test_divider_half_select_meets_tolerance(bit, v):
     # node lies within about 1e-7 of the low-ohmic cell's line
     s = crs_state_for_bit(bit, P)
     for v_w, v_b in ((v, 0.0), (0.0, -v), (v / 2, -v / 2)):
-        assert_tolerances(v_w, v_b, solve_crs_divider(v_w, v_b, s.top.x,
-                                                      s.bottom.x, P))
+        assert_tolerances(v_w, v_b, solve_crs_divider(v_w, v_b, *s, P))
 
 
 @pytest.mark.parametrize("bit", [0, 1])
@@ -160,8 +154,7 @@ def test_divider_at_subnormal_scale_line_differences(bit, v):
     # underflows and the absolute floor decides
     s = crs_state_for_bit(bit, P)
     for v_w, v_b in ((v, 0.0), (0.0, -v), (-v, 0.0), (v / 2, -v / 2)):
-        assert_tolerances(v_w, v_b, solve_crs_divider(v_w, v_b, s.top.x,
-                                                      s.bottom.x, P))
+        assert_tolerances(v_w, v_b, solve_crs_divider(v_w, v_b, *s, P))
 
 
 gaps = st.one_of(st.sampled_from([P.x_min, P.l]), st.floats(P.x_min, P.l))
@@ -247,7 +240,7 @@ def test_series_current_storage_leakage():
     # both stored states must look high-resistive at read-level bias
     for bit in (0, 1):
         s = crs_state_for_bit(bit, P)
-        assert abs(series_current(0.61, s, P)) < 1e-12
+        assert abs(solve_crs_divider(0.61 / 2, -0.61 / 2, *s, P)[1]) < 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -256,8 +249,8 @@ def test_series_current_storage_leakage():
 
 def test_pair_zero_drive_holds():
     s0 = crs_state_for_bit(0, P)
-    s1 = step_crs_transient(s0, 0.0, 1.0, P)
-    assert s1.top.x == s0.top.x and s1.bottom.x == s0.bottom.x
+    s1, _, _ = crs_pulse(s0, 0.0, 1.0, P, n_samples=1)
+    assert s1 == s0
 
 
 def test_full_write_passes_through_on():
@@ -290,7 +283,7 @@ def test_half_select_holds_state(bit, sign):
     s0 = crs_state_for_bit(bit, P)
     s1, _, _ = crs_pulse(s0, sign * V_W / 2, T_PULSE, P, n_samples=30)
     assert str(decode_state(s1, MID)) == str(bit)
-    drift = max(abs(s1.top.x - s0.top.x), abs(s1.bottom.x - s0.bottom.x))
+    drift = max(abs(a - b) for a, b in zip(s1, s0))
     assert drift < SPAN / 100.0
 
 
@@ -317,7 +310,7 @@ def test_pulse_solves_each_gap_pair_once(monkeypatch, bit, v):
 def test_pair_transient_requires_positive_duration(dt):
     s0 = crs_state_for_bit(0, P)
     with pytest.raises(ValueError):
-        step_crs_transient(s0, V_W, dt, P)
+        march(s0, crs._PairSolve(V_W, P), dt, P, CRS_MOTION_LIMIT)
     with pytest.raises(ValueError):
         crs_pulse(s0, V_W, dt, P, n_samples=4)
 
@@ -333,8 +326,9 @@ def test_pulse_requires_a_sample(n_samples):
 @example(v=1.9294825946148343e-288, dt=8.771430147495266e-05)
 @settings(max_examples=20)
 def test_pair_gaps_stay_clamped(v, dt):
-    s = step_crs_transient(crs_state_for_bit(0, P), v, dt, P)
-    for x in (s.top.x, s.bottom.x):
+    xs = march(crs_state_for_bit(0, P), crs._PairSolve(v, P), dt, P,
+               CRS_MOTION_LIMIT)
+    for x in xs:
         assert P.x_min <= x <= P.l
 
 
@@ -380,8 +374,7 @@ def test_sweep_rows_match_cold_solves(crs_sweep):
     # gaps moved: a cold solve at the row's gaps gives the same current
     # to 1e-10 and the same thresholds
     rows, th = crs_sweep
-    cold = [(v, series_current(v, CrsDeviceState(EcmState(xt), EcmState(xb)),
-                               P), xt, xb, lab)
+    cold = [(v, solve_crs_divider(v / 2, -v / 2, xt, xb, P)[1], xt, xb, lab)
             for v, _, xt, xb, lab in rows]
     for row, ref in zip(rows, cold):
         assert abs(row[1] - ref[1]) <= 1e-10 * abs(ref[1]), row

@@ -30,7 +30,6 @@ from crsadder.ecm import (
     _implicit_substep,
     solve_cell_dc,
     state_derivative,
-    step_transient,
     sweep_iv_unit,
     tunnel_conductance,
 )
@@ -243,40 +242,43 @@ def test_dc_differential_conductance_matches_finite_difference(v, x):
 # transient integration
 # ----------------------------------------------------------------------
 
+def step(x, v, dt):
+    """One cell's gap x after dt at voltage v: a one-cell march."""
+    (x,) = ecm.march((x,), ecm._CellSolve(v, P), dt, P, ecm.MOTION_LIMIT)
+    return x
+
+
 def test_transient_zero_drive_holds():
-    s = EcmState(7e-9)
-    assert step_transient(s, 0.0, 1.0, P).x == 7e-9
+    assert step(7e-9, 0.0, 1.0) == 7e-9
 
 
 def test_transient_set_completion_time():
     # frozen from the explicit-Euler event-time oracle; the implicit
     # integrator must agree on when the gap first reaches the clamp
-    s = EcmState(P.l)
+    x = P.l
     t, dt = 0.0, GOLD_T_SET_1V5 / 500.0
-    while s.x > P.x_min and t < 3.0 * GOLD_T_SET_1V5:
-        s = step_transient(s, 1.5, dt, P)
+    while x > P.x_min and t < 3.0 * GOLD_T_SET_1V5:
+        x = step(x, 1.5, dt)
         t += dt
-    assert s.x == P.x_min
+    assert x == P.x_min
     assert rel(t, GOLD_T_SET_1V5) < 0.02
 
 
 def test_transient_dt_refinement_consistency():
     total = 0.008
-    s1 = EcmState(P.l)
-    s2 = EcmState(P.l)
+    x1 = x2 = P.l
     for _ in range(100):
-        s1 = step_transient(s1, 1.2, total / 100, P)
+        x1 = step(x1, 1.2, total / 100)
     for _ in range(200):
-        s2 = step_transient(s2, 1.2, total / 200, P)
-    assert abs(s1.x - s2.x) < 1e-3 * SPAN
+        x2 = step(x2, 1.2, total / 200)
+    assert abs(x1 - x2) < 1e-3 * SPAN
 
 
 @given(v=st.floats(-3.0, 3.0), dt=st.floats(1e-9, 1e-2),
        x0=st.floats(0.1e-9, 20e-9))
 @settings(max_examples=40)
 def test_transient_stays_clamped(v, dt, x0):
-    s = step_transient(EcmState(x0), v, dt, P)
-    assert P.x_min <= s.x <= P.l
+    assert P.x_min <= step(x0, v, dt) <= P.l
 
 
 SUBSTEP_TOL = 1e-9 * SPAN + 1e-30
@@ -348,7 +350,7 @@ def test_implicit_substep_solves_the_rail_only_when_a_step_reaches_it(
 
 def test_transient_requires_positive_dt():
     with pytest.raises(ValueError):
-        step_transient(EcmState(P.l), 1.0, 0.0, P)
+        step(P.l, 1.0, 0.0)
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -302,8 +303,7 @@ def test_calibration_postconditions(params, pulse):
             s1, _, _ = crs_pulse(s0, sign * pulse.v_w / 2, pulse.t_pulse,
                                  params, n_samples=20)
             assert str(decode_state(s1, params.gap_midpoint())) == str(bit)
-            drift = max(abs(s1.top.x - s0.top.x),
-                        abs(s1.bottom.x - s0.bottom.x))
+            drift = max(abs(a - b) for a, b in zip(s1, s0))
             assert drift < span / 100.0
 
 
@@ -337,6 +337,9 @@ def test_calibration_failure_reports_attempts():
     attempts = exc_info.value.report["attempts"]
     assert len(attempts) == 6
     assert all(a["t_full_s"] == float("inf") for a in attempts)
+    # the message names the amplitudes actually tried
+    bounds = re.search(r"in \[(.*), (.*)\] V", str(exc_info.value)).groups()
+    assert bounds == ("2.6", f"{attempts[-1]['v_w']:.6g}")
 
 
 def test_pulse_params_validation():
@@ -416,6 +419,20 @@ def test_behavioral_writeback_matches_latch():
                     continue
                 reg_name = f"c{(rec.index - 5) // 4 + 1}"
                 assert rec.cell_states["A0/0/0"] == latched[reg_name]
+
+
+# SHA-256 of the repr of the session pulse, then of the 32 device_matrix
+# traces in key order (samples included), recorded before the pair state
+# became a gap tuple
+GOLDEN_DEVICE_MATRIX = \
+    "0e49d623fdc690b0ceafbe24cd12c7e7002264e71c0ecdd158e605641414800e"
+
+
+def test_device_matrix_golden(pulse, device_matrix):
+    h = hashlib.sha256(repr(pulse).encode())
+    for key in sorted(device_matrix):
+        h.update(repr(device_matrix[key]).encode())
+    assert h.hexdigest() == GOLDEN_DEVICE_MATRIX
 
 
 def test_device_waveform_columns(device_matrix):
