@@ -122,7 +122,8 @@ DIVIDER_KCL_TOL = 1e-12   # relative node-current tolerance of the divider
 DIVIDER_KCL_FLOOR = 1e-300  # A; absolute floor where the relative one underflows
 
 
-def solve_crs_divider(v_w, v_b, x_top, x_bot, p, vm_guess=None):
+def solve_crs_divider(v_w, v_b, x_top, x_bot, p, vm_guess=None,
+                      eta_guess=None):
     """Middle-node voltage and branch solutions of the loaded pair.
 
     The top cell sees v_m - v_w, the bottom v_m - v_b (anti-serial).  One
@@ -130,9 +131,10 @@ def solve_crs_divider(v_w, v_b, x_top, x_bot, p, vm_guess=None):
     cell drives the loop KVL V_far - V_low - (low line - far line) and
     the node KCL I_low + I_far; its 2x2 Jacobian is analytic, with a
     negative determinant.  v_m is the low line plus V_low, exact next to
-    a line.  Each eta1 starts at half its cell voltage, from vm_guess
-    when that lies between the lines, else from v_m at the low line, and
-    moves by ecm.eta_step inside its bracket.
+    a line.  Each eta1 starts from its entry of eta_guess = (eta1 top,
+    eta1 bottom) when that lies inside its bracket, else at half its cell
+    voltage, from vm_guess when that lies between the lines, else from
+    v_m at the low line; it moves by ecm.eta_step inside its bracket.
 
     Returns (v_m, j_series, sol_top, sol_bot), j_series the bottom cell
     current (wl to bl), with |i_top + i_bot| <= max(DIVIDER_KCL_TOL *
@@ -149,8 +151,10 @@ def solve_crs_divider(v_w, v_b, x_top, x_bot, p, vm_guess=None):
     u = vm_guess - v_low if vm_guess is not None else math.nan
     if not min(0.0, -diff) < u < max(0.0, -diff):
         u = 0.0   # the far cell, the larger gap, takes the whole difference
+    g = eta_guess or (math.nan, math.nan)   # (top, bottom)
     cells = []
-    for x, sign, v in ((x_low, -s, u), (x_far, s, u + diff)):
+    for x, sign, v, guess in ((x_low, -s, u, g[not top_low]),
+                              (x_far, s, u + diff, g[top_low])):
         # |diff| >= |v_cell| >= |i_ion| * (R_ion + R_ser) bounds |eta1|.
         # The seed v / 2, a lone cell's cold start, may lie past the bound
         # and leaves the float range from v = 73.4 V
@@ -158,7 +162,9 @@ def solve_crs_divider(v_w, v_b, x_top, x_bot, p, vm_guess=None):
         beta = p._beta_a if sign > 0 else p._beta_c
         cap = sign * min(abs(diff), math.log1p(
             abs(diff) / (p._j0a * (r_ion + r_ser))) / beta)
-        cells.append((0.5 * v, *sorted((0.0, cap)), r_ion, r_fil, r_ser, g_tu))
+        lo, hi = sorted((0.0, cap))
+        cells.append((guess if lo < guess < hi else 0.5 * v, lo, hi,
+                       r_ion, r_fil, r_ser, g_tu))
     (e_l, lo_l, hi_l, ri_l, rf_l, rs_l, g_tl), (
         e_f, lo_f, hi_f, ri_f, rf_f, rs_f, g_tf) = cells
     kvl_tol = max(KVL_TOL * abs(diff), 1e-300)
@@ -204,19 +210,20 @@ class _PairSolve:
     """The pair's divider at one applied voltage, as ecm.march's solve.
 
     Splits v_applied +v/2 on wl, -v/2 on bl once, warm-starts from the
-    last v_m, keeps the peak |j| and solves a gap pair only when it
-    differs from the last one; at(xs) is the divider's result there.
+    last v_m and eta1 pair, keeps the peak |j| and solves a gap pair only
+    when it differs from the last one; at(xs) is the divider's result
+    there.
     """
 
     def __init__(self, v_applied, p):
         self.v_w, self.v_b, self.p = 0.5 * v_applied, -0.5 * v_applied, p
-        self.peak, self.xs, self.last = 0.0, None, None
+        self.peak, self.xs, self.last, self.guess = 0.0, None, None, {}
 
     def at(self, xs):
         if xs != self.xs:
-            vm = self.last[0] if self.last else None
-            self.last = solve_crs_divider(self.v_w, self.v_b, *xs, self.p,
-                                          vm_guess=vm)
+            self.last = vm, _, st, sb = solve_crs_divider(
+                self.v_w, self.v_b, *xs, self.p, **self.guess)
+            self.guess = {"vm_guess": vm, "eta_guess": (st.eta1, sb.eta1)}
             self.xs = xs
             self.peak = max(self.peak, abs(self.last[1]))
         return self.last

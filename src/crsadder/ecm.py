@@ -209,14 +209,15 @@ def evaluate_branch(eta1, sign, r_ion, g_tu, p):
     R_ser."""
     i_ion = ionic_current(eta1, sign, p)
     # the tip interface runs the reaction in the opposite direction, so
-    # the anodic/cathodic coefficients swap roles there
+    # the anodic/cathodic coefficients swap roles there; its Tafel law
+    # inverted at i_ion, log1p(expm1(z)) = z, leaves eta2 linear in eta1
     b_in, b_tip = ((p._beta_a, p._beta_c) if sign > 0
                    else (p._beta_c, p._beta_a))
-    eta2 = sign * math.log1p(sign * i_ion / p._j0a) / b_tip
-    di = p._j0a * b_in * math.exp(sign * b_in * eta1)
-    d_eta2 = 1.0 / (b_tip * (p._j0a + sign * i_ion))
+    ratio = b_in / b_tip
+    eta2 = ratio * eta1
+    di = b_in * (p._j0a + sign * i_ion)
     v_tu = eta1 + i_ion * r_ion + eta2
-    dvtu = 1.0 + (r_ion + d_eta2) * di
+    dvtu = 1.0 + ratio + r_ion * di
     return i_ion, eta2, v_tu, i_ion + g_tu * v_tu, dvtu, di + g_tu * dvtu
 
 
@@ -240,32 +241,47 @@ def eta_step(eta, dv, dv_deta, sign, lo, hi, p):
     return new if lo < new < hi else 0.5 * (eta + (hi if new >= hi else lo))
 
 
-def solve_cell_dc(v_cell, x, p, eta_guess=None):
-    """Solve the cell's DC operating point at fixed gap x.
+def solve_cell_dc(v_cell, x, p, eta_guess=None, dt=0.0):
+    """Solve the cell's DC operating point at v_cell: at gap x, or for
+    dt > 0 at the end of a backward-Euler substep of dt from x.
 
-    Single unknown: eta1 (evaluate_branch).  eta_step drives the loop
-    equation v_cell = v_tu + i_tot * R_ser below KVL_TOL inside the bracket
-    between 0 and v_cell, in a number of iterations that does not grow
-    with |v_cell|.  A cold start's first iterate, v_cell / 2, leaves the
-    float range from about 73.4 V: that raises ConvergenceError.
+    Single unknown: eta1 (evaluate_branch); over a substep the gap
+    follows it, y = clamp(x - dt * k_faraday * i_ion(eta1), x_min, l).
+    eta_step drives the loop equation v_cell = v_tu + i_tot * R_ser, its
+    slope taken along y(eta1), below KVL_TOL inside the bracket between
+    0 and v_cell, in iterations that do not grow with |v_cell|.  A
+    substep also accepts a Newton step moving y by 1e-9 of the span or
+    less (doubled above the root, where the convex cell voltage shortens
+    it) and a clamp the root drives further; two steps that fail to
+    halve the residual, as across the kink where y meets the rail, give
+    way to bisection.  A cold start's first iterate, v_cell / 2,
+    overflows from about 73.4 V: that raises ConvergenceError.
     """
     if not math.isfinite(v_cell):
         raise ValueError(f"v_cell must be finite, got {v_cell!r}")
-    r_ion, r_fil, r_ser, g_tu = cell_constants(x, p)
+    kdt, y = dt * p._k_faraday, x
+    if not kdt:
+        r_ion, r_fil, r_ser, g_tu = cell_constants(x, p)
     sign = -1 if v_cell < 0 else 1
-    # resid is strictly decreasing in eta1; bracket is [0, v] (or [v, 0]).
-    # Zero bias solves exactly at eta1 = 0 on the forward branch, whose
-    # conductance there equals the reverse branch's, so g_diff is
-    # continuous through v_cell = 0.
+    b_in = p._beta_a if sign > 0 else p._beta_c
+    # resid is v_cell at eta1 = 0 and past zero at eta1 = v_cell (v_tu
+    # alone exceeds it): bracket [0, v] or [v, 0].  Zero bias solves at
+    # eta1 = 0 on the forward branch, whose conductance equals the reverse
+    # branch's there, so g_diff is continuous through v_cell = 0.
     lo, hi = (0.0, v_cell) if sign > 0 else (v_cell, 0.0)
     eta = eta_guess if (eta_guess is not None and lo < eta_guess < hi) \
         else 0.5 * (lo + hi)
     # absolute floor keeps the accept test meaningful for denormal-range
     # voltages where the relative tolerance underflows
     tol = max(KVL_TOL * abs(v_cell), 1e-300)
-    resid = math.inf
+    gap_tol = 1e-9 * (p.l - p.x_min) + 1e-30
+    resid = r_back = r_back2 = math.inf
     for _ in range(120):
         try:
+            if kdt:
+                y_free = x - kdt * ionic_current(eta, sign, p)
+                y = min(max(y_free, p.x_min), p.l)
+                r_ion, r_fil, r_ser, g_tu = cell_constants(y, p)
             i_ion, eta2, v_tu, i_tot, dvtu, di_tot = evaluate_branch(
                 eta, sign, r_ion, g_tu, p)
         except OverflowError:
@@ -273,20 +289,35 @@ def solve_cell_dc(v_cell, x, p, eta_guess=None):
                 f"DC solve overflowed at v_cell={v_cell:.6g} V, x={x:.6g} m, "
                 f"eta1={eta:.6g} V", resid) from None
         resid = v_cell - i_tot * r_ser - v_tu
-        dv = dvtu + di_tot * r_ser     # d(cell voltage)/d(eta1)
-        if abs(resid) <= tol:
+        dv = dvtu + di_tot * r_ser     # d(cell voltage)/d(eta1) at fixed y
+        slope, gap_err = dv, math.inf
+        if kdt and y != y_free:     # clamped: dy/d(eta1) = 0
+            gap_err = 0.0 if sign * resid > 0.0 else math.inf
+        elif kdt:
+            dy = -kdt * b_in * (p._j0a + sign * i_ion)  # dy/d(eta1)
+            gap_err = abs(dy * math.expm1(min(sign * b_in * resid / dv, 700.0))
+                          / b_in) * (1.0 if sign * resid > 0.0 else 2.0)
+            # d(cell voltage)/dy at fixed eta1: R_ion = y / (sigma_ion A),
+            # R_ser falls by 1 / (sigma_fil A), d(ln g_tu)/dy = -(1/y + kappa)
+            dvtu_y = i_ion * r_ion / y
+            dv_y = (dvtu_y - i_tot / (p.sigma_fil * p.a_fil) + r_ser * g_tu
+                    * (dvtu_y - (1.0 / y + p._tun_kappa) * v_tu))
+            slope = dv + dv_y * dy if dv + dv_y * dy > 0.0 else dv
+        if abs(resid) <= tol or gap_err <= gap_tol:
             break
         if resid > 0:
-            lo = eta    # resid decreases with eta1: root lies above
+            lo = eta    # the root lies above
         else:
             hi = eta
-        eta_new = eta_step(eta, resid, dv, sign, lo, hi, p)
+        eta_new = (0.5 * (lo + hi) if kdt and abs(resid) > 0.5 * r_back2
+                   else eta_step(eta, resid, slope, sign, lo, hi, p))
+        r_back2, r_back = r_back, abs(resid)
         if eta_new == eta:
             break   # bracket exhausted at float resolution
         eta = eta_new
     # within 1e3 * tol: float-limited but physically converged
-    if abs(resid) <= 1e3 * tol:
-        return CellSolution(v_cell, x, eta, eta2, v_tu, i_ion, g_tu * v_tu,
+    if abs(resid) <= 1e3 * tol or gap_err <= gap_tol:
+        return CellSolution(v_cell, y, eta, eta2, v_tu, i_ion, g_tu * v_tu,
                             i_tot, r_ion, r_fil, resid, di_tot / dv)
     raise ConvergenceError(
         f"DC solve stalled at v_cell={v_cell:.6g} V, x={x:.6g} m", resid)
@@ -301,88 +332,7 @@ MOTION_LIMIT = 0.05   # max gap motion per implicit substep, fraction of span
 
 def _rail_masked_rate(rate, x, p):
     """Zero out velocity pushing the gap further into a rail it sits at."""
-    if rate > 0.0 and x >= p.l:
-        return 0.0
-    if rate < 0.0 and x <= p.x_min:
-        return 0.0
-    return rate
-
-
-def _implicit_substep(sol, dt, p):
-    """One backward-Euler substep from the DC solution sol at the cell's
-    current gap: solve g(y) = y - x - dt*f(y) = 0 with clamping, f at
-    sol.v_cell.
-
-    f keeps the sign of v_cell, so the root lies between x and the rail
-    the cell moves toward.  g(x) = -dt*f(x) is known from sol, so x is a
-    bracket end for free; the rail is solved only when a step lands on
-    or past it, and a rail whose g has the sign of g(x) is the clamped
-    result.  The explicit predictor x + dt*f(x) is the first iterate,
-    then secant steps through the last two iterates, starting from
-    (x, g(x)); a step that leaves the bracket falls back to regula falsi
-    through its ends once both are known, else to bisection.  Returns y
-    with |g(y)| within 1e-9 of the span, or the rail; raises
-    ConvergenceError otherwise.
-    """
-    x, v_cell = sol.x, sol.v_cell
-    if v_cell == 0.0:
-        return x
-    rate, eta = state_derivative(sol.i_ion, p), sol.eta1
-    if _rail_masked_rate(rate, x, p) == 0.0:
-        return x
-    tol = 1e-9 * (p.l - p.x_min) + 1e-30
-
-    def g(y):
-        nonlocal eta
-        s = solve_cell_dc(v_cell, y, p, eta_guess=eta)
-        eta = s.eta1
-        return y - x - dt * state_derivative(s.i_ion, p)
-
-    gy = -dt * rate     # g(x)
-    y = x + dt * rate   # explicit predictor
-    if y == x and abs(gy) <= tol:
-        return x        # motion below the float resolution of x
-    # bracket [a, b] with g(a) < 0 < g(b); the rail's g is None until solved
-    if rate < 0.0:
-        a, ga, b, gb = p.x_min, None, x, gy
-    else:
-        a, ga, b, gb = x, gy, p.l, None
-    y_prev, g_prev = x, gy
-    for _ in range(80):
-        if not a < y < b:   # also catches a non-finite step
-            mid = 0.5 * (a + b)
-            stuck = not a < mid < b     # no float between the ends
-            if ga is None and (y <= a or stuck):
-                ga = g(a)
-                if ga >= 0.0:
-                    return a    # driven past the rail: clamp
-            elif gb is None and (y >= b or stuck):
-                gb = g(b)
-                if gb <= 0.0:
-                    return b
-            y = mid
-            if ga is not None and gb is not None:
-                y = (a * gb - b * ga) / (gb - ga)
-                if not a < y < b:
-                    y = mid
-            if not a < y < b:   # no float left inside the bracket
-                y, gy = (a, ga) if -ga < gb else (b, gb)
-                if abs(gy) <= tol:
-                    return y
-                break
-        gy = g(y)
-        if abs(gy) <= tol:
-            return y
-        if gy < 0.0:
-            a, ga = y, gy
-        else:
-            b, gb = y, gy
-        denom = gy - g_prev
-        y_prev, g_prev, y = y, gy, (
-            y - gy * (y - y_prev) / denom if denom != 0.0 else math.nan)
-    raise ConvergenceError(
-        f"substep missed its tolerance at v_cell={v_cell:.6g} V, "
-        f"x={x:.6g} m, dt={dt:.6g} s", gy)
+    return 0.0 if (x >= p.l if rate > 0.0 else x <= p.x_min) else rate
 
 
 def march(xs, solve, dt, p, limit):
@@ -390,10 +340,11 @@ def march(xs, solve, dt, p, limit):
 
     Each substep starts from solve(xs), one CellSolution per cell at its
     current gap, and moves every cell by one backward-Euler substep at
-    its frozen cell voltage.  The substep is the largest interval
-    keeping the explicit motion estimate of every cell under limit of
-    the full span (rates pinning a gap against a rail are ignored, the
-    clamp absorbs them).
+    its frozen cell voltage: solve_cell_dc with dt, warm-started from
+    the cell's eta1.  The substep is the largest interval keeping the
+    explicit motion estimate of every cell under limit of the full span
+    (rates pinning a gap against a rail are ignored, the clamp absorbs
+    them); a cell with no such rate keeps its gap without a solve.
     """
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
@@ -401,14 +352,16 @@ def march(xs, solve, dt, p, limit):
     remaining = dt
     while remaining > 0.0:
         sols = solve(xs)
-        worst = max(abs(_rail_masked_rate(state_derivative(s.i_ion, p), s.x, p))
-                    for s in sols)
+        rates = [_rail_masked_rate(state_derivative(s.i_ion, p), s.x, p)
+                 for s in sols]
+        worst = max(abs(r) for r in rates)
         if worst == 0.0:
             break   # every cell clamped or unbiased: nothing moves for any dt
         sub = remaining
         if worst * sub > limit * span:
             sub = limit * span / worst
-        xs = tuple(_implicit_substep(s, sub, p) for s in sols)
+        xs = tuple(solve_cell_dc(s.v_cell, s.x, p, s.eta1, sub).x if r
+                   else s.x for s, r in zip(sols, rates))
         remaining -= sub
     return xs
 

@@ -312,13 +312,13 @@ def run_device(p, a_bits, b_bits, c0=0, *, pp, ep):
 
 def time_to_flip(v_apply, ep, t_limit=10.0):
     """Time for a ZERO pair to decode as ONE under constant v_apply, on a
-    geometric grid of intervals, each marched with a fresh divider solve."""
-    xs = crs_state_for_bit(0, ep)
+    geometric grid of intervals marched with one divider solve."""
+    xs, solve = crs_state_for_bit(0, ep), _PairSolve(v_apply, ep)
     mid = ep.gap_midpoint()
     t = 0.0
     dt = 1e-8
     while t < t_limit:
-        xs = march(xs, _PairSolve(v_apply, ep), dt, ep, CRS_MOTION_LIMIT)
+        xs = march(xs, solve, dt, ep, CRS_MOTION_LIMIT)
         t += dt
         if decode_state(xs, mid) is CrsLogicState.ONE:
             return t

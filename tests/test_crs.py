@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from crsadder import crs
+from crsadder import crs, ecm
 from crsadder.crs import (
     DEFAULT_CRS_AMPLITUDE,
     DIVIDER_KCL_FLOOR,
@@ -296,14 +296,62 @@ def test_pulse_solves_each_gap_pair_once(monkeypatch, bit, v):
     calls = []
     solve = crs.solve_crs_divider
 
-    def recording(v_w, v_b, x_top, x_bot, p, vm_guess=None):
+    def recording(v_w, v_b, x_top, x_bot, p, vm_guess=None, eta_guess=None):
         calls.append((v_w, v_b, x_top, x_bot))
-        return solve(v_w, v_b, x_top, x_bot, p, vm_guess=vm_guess)
+        return solve(v_w, v_b, x_top, x_bot, p, vm_guess=vm_guess,
+                     eta_guess=eta_guess)
 
     monkeypatch.setattr(crs, "solve_crs_divider", recording)
     crs_pulse(crs_state_for_bit(bit, P), v, T_PULSE, P, n_samples=40)
     assert calls
     assert all(a != b for a, b in zip(calls, calls[1:]))
+
+
+def test_full_select_pulse_makes_no_nested_cell_solves(monkeypatch):
+    # every cell solve of a pulse is one moving cell's backward-Euler
+    # substep from the divider solve before it, warm-started from that
+    # cell's eta1: at most one per moving cell per divider call, and no
+    # solve inside another.  The bounds are the counts of a read of ZERO
+    # (383 cell solves when each substep iterate was a DC solve)
+    events = []
+    divider, cell = crs.solve_crs_divider, ecm.solve_cell_dc
+
+    def recording_divider(*args, **kwargs):
+        out = divider(*args, **kwargs)
+        events.append(("divider", out))
+        return out
+
+    def recording_cell(v_cell, x, p, eta_guess=None, dt=0.0):
+        events.append(("cell", (v_cell, x, eta_guess, dt)))
+        return cell(v_cell, x, p, eta_guess, dt)
+
+    monkeypatch.setattr(crs, "solve_crs_divider", recording_divider)
+    monkeypatch.setattr(ecm, "solve_cell_dc", recording_cell)
+    crs_pulse(crs_state_for_bit(0, P), V_W, T_PULSE, P, n_samples=40)
+    moving = []
+    for kind, data in events:
+        if kind == "divider":
+            moving = [(s.v_cell, s.x, s.eta1) for s in data[2:]]
+        else:
+            assert data[3] > 0.0
+            moving.remove(data[:3])
+    n_cell = sum(kind == "cell" for kind, _ in events)
+    assert n_cell <= 161 and len(events) - n_cell <= 110
+
+
+@given(x_top=gaps, x_bot=gaps, v=line_differences)
+def test_divider_warm_start_from_an_eta_pair(x_top, x_bot, v):
+    # the pair maps to the low and far cells by top/bottom identity:
+    # seeded with its own solution's etas the divider meets its
+    # tolerances, and a guess outside both brackets is ignored
+    cold = solve_crs_divider(v / 2, -v / 2, x_top, x_bot, P)
+    etas = (cold[2].eta1, cold[3].eta1)
+    assert_tolerances(v / 2, -v / 2, solve_crs_divider(
+        v / 2, -v / 2, x_top, x_bot, P, eta_guess=etas))
+    assert_tolerances(v / 2, -v / 2, solve_crs_divider(
+        v / 2, -v / 2, x_top, x_bot, P, eta_guess=etas[::-1]))
+    assert solve_crs_divider(v / 2, -v / 2, x_top, x_bot, P,
+                             eta_guess=(1e3, -1e3)) == cold
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-6])

@@ -7,7 +7,6 @@ the package implementation existed.
 
 import hashlib
 import math
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +26,6 @@ from crsadder.ecm import (
     ionic_current,
     load_params,
     params_text,
-    _implicit_substep,
     solve_cell_dc,
     state_derivative,
     sweep_iv_unit,
@@ -49,6 +47,11 @@ GOLD_T_SET_1V5 = 0.013525142082803867   # explicit-Euler event time
 
 def rel(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+# the rails exactly, and gaps between them
+rail_or_gap = st.one_of(st.sampled_from([P.x_min, P.l]),
+                        st.floats(P.x_min, P.l))
 
 
 # ----------------------------------------------------------------------
@@ -134,6 +137,40 @@ def test_gap_rate_opposes_current(i):
         assert d == 0
 
 
+def branch(eta1, sign, x):
+    r_ion, _, _, g_tu = ecm.cell_constants(x, P)
+    return ecm.evaluate_branch(eta1, sign, r_ion, g_tu, P)
+
+
+@given(eta=st.floats(1e-3, 3.0), sign=st.sampled_from([1, -1]),
+       x=rail_or_gap)
+@example(eta=3.0, sign=1, x=P.l)
+@example(eta=3.0, sign=-1, x=P.x_min)
+def test_evaluate_branch_matches_log1p_oracle(eta, sign, x):
+    # eta1 carries the cell's polarity, as everywhere inside a solve's
+    # bracket; the oracle inverts both interfaces' Tafel laws with log1p
+    # where the model takes eta2 linear in eta1
+    eta1 = sign * eta
+    i_ion, eta2, v_tu, i_tot, _, _ = branch(eta1, sign, x)
+    assert rel(i_ion, oracles.ionic_current_oracle(eta1, sign)) <= 1e-12
+    j0a = P.j0 * P.a_fil
+    b_tip = P._beta_c if sign > 0 else P._beta_a
+    assert rel(eta2, sign * math.log1p(sign * i_ion / j0a) / b_tip) <= 1e-12
+    assert rel(v_tu, oracles._ionic_branch_voltage(i_ion, x, oracles.REF)) \
+        <= 1e-12
+    assert rel(i_tot, i_ion + oracles.tunnel_current_oracle(x, v_tu)) <= 1e-12
+
+
+@given(eta=st.floats(1e-3, 3.0), sign=st.sampled_from([1, -1]),
+       x=rail_or_gap)
+def test_evaluate_branch_derivatives_match_central_differences(eta, sign, x):
+    eta1, h = sign * eta, 1e-6 * eta
+    up, down = branch(eta1 + h, sign, x), branch(eta1 - h, sign, x)
+    _, _, _, _, dvtu, di_tot = branch(eta1, sign, x)
+    assert rel(dvtu, (up[2] - down[2]) / (2.0 * h)) <= 1e-6
+    assert rel(di_tot, (up[3] - down[3]) / (2.0 * h)) <= 1e-6
+
+
 # ----------------------------------------------------------------------
 # DC operating point
 # ----------------------------------------------------------------------
@@ -192,10 +229,8 @@ def test_dc_kirchhoff_residuals(v, x):
     assert abs(sol.kvl_residual) <= 1e-9 * abs(v)
 
 
-# rails exactly, and voltages from the write range down to the smallest
-# subnormal, where the relative loop tolerance underflows to its floor
-rail_or_gap = st.one_of(st.sampled_from([P.x_min, P.l]),
-                        st.floats(P.x_min, P.l))
+# voltages from the write range down to the smallest subnormal, where
+# the relative loop tolerance underflows to its floor
 cell_voltages = st.one_of(
     st.floats(-3.0, 3.0), st.floats(-1e-280, 1e-280),
     st.sampled_from([5e-324, -5e-324, 1e-300, -1e-310, 1e-290, 0.0]))
@@ -284,13 +319,19 @@ def test_transient_stays_clamped(v, dt, x0):
 SUBSTEP_TOL = 1e-9 * SPAN + 1e-30
 
 
+def substep(v, x, dt):
+    """Gap after one backward-Euler substep of dt from x at voltage v,
+    warm-started from the DC solve at x as march does."""
+    return solve_cell_dc(v, x, P, solve_cell_dc(v, x, P).eta1, dt).x
+
+
 @given(v=cell_voltages, x=rail_or_gap, dt=st.floats(1e-12, 1e-2))
 @example(v=3.0, x=P.l, dt=1e-2)          # predictor far past x_min
 @example(v=-3.0, x=P.x_min, dt=1e-2)     # predictor far past l
 @example(v=2.6, x=P.x_min, dt=1e-6)      # pinned at the rail it is driven into
 @example(v=1e-300, x=5e-9, dt=1e-6)      # motion below the float resolution of x
 def test_implicit_substep_meets_tolerance_or_clamps(v, x, dt):
-    y = _implicit_substep(solve_cell_dc(v, x, P), dt, P)
+    y = substep(v, x, dt)
     # residual of the backward-Euler step, f from an independent DC solve
     g = y - x - dt * state_derivative(solve_cell_dc(v, y, P).i_ion, P)
     if abs(g) <= SUBSTEP_TOL:
@@ -302,50 +343,61 @@ def test_implicit_substep_meets_tolerance_or_clamps(v, x, dt):
 
 
 def test_implicit_substep_one_ulp_from_the_rail():
-    # no float lies between x and the rail; the predictor rounds onto the
-    # rail, which is not past the root, so the answer is a bracket end
+    # no float lies between x and the rail; a step of 3/4 of the distance
+    # rounds onto the rail or back to x, either within the tolerance
     x = math.nextafter(P.x_min, P.l)
     sol = solve_cell_dc(1e-3, x, P)
     dt = 0.75 * (x - P.x_min) / abs(state_derivative(sol.i_ion, P))
-    y = _implicit_substep(sol, dt, P)
+    y = substep(1e-3, x, dt)
     g = y - x - dt * state_derivative(solve_cell_dc(1e-3, y, P).i_ion, P)
     assert y in (P.x_min, x) and abs(g) <= SUBSTEP_TOL
 
 
 def test_implicit_substep_that_cannot_converge_raises(monkeypatch):
-    # a gap velocity that jumps across the root leaves no y within the
-    # tolerance; the substep must say so instead of returning an iterate
-    def jumping_cell(v, x, p, eta_guess=None):
-        speed = 1e-8 if x > 5e-9 else 1e-10
-        return SimpleNamespace(v_cell=v, x=x, eta1=0.0,
-                               i_ion=speed / p._k_faraday)
+    # an ionic resistance that jumps 1e14 ohm where the gap crosses 5 nm
+    # makes the cell voltage jump across v along y(eta1), so no eta1
+    # leaves a gap within the tolerance; the solve must say so instead of
+    # returning an iterate
+    constants = ecm.cell_constants
 
-    monkeypatch.setattr(ecm, "solve_cell_dc", jumping_cell)
+    def jumping_cell(x, p):
+        r_ion, r_fil, r_ser, g_tu = constants(x, p)
+        return (1e14 if x < 5e-9 else r_ion), r_fil, r_ser, g_tu
+
+    monkeypatch.setattr(ecm, "cell_constants", jumping_cell)
     with pytest.raises(ConvergenceError):
-        _implicit_substep(jumping_cell(1.0, 10e-9, P), 1.0, P)
+        solve_cell_dc(1.0, 10e-9, P, dt=1.0)
 
 
-def test_implicit_substep_solves_the_rail_only_when_a_step_reaches_it(
-        monkeypatch):
-    # the gap accelerates toward x_min: speed 1, then 3 units once it has
-    # moved one unit (u, in units of dt*1e-10 m), so g(u) ~ u - min(1+2u, 3)
-    # with its root at u = 3.  The predictor lands at u = 1 with g of the
-    # sign of g(x), and the secant through both points steps back past x;
-    # that must bisect toward the unsolved rail, not solve it
-    x, dt, unit = 10e-9, 1.0, 1e-10
-    solved = []
+def test_implicit_substep_clamps_inside_the_gap_map(monkeypatch):
+    # the rail is no separate solve: every gap the substep evaluates is
+    # y(eta1) = clamp(x - dt * k_faraday * i_ion(eta1)) of the eta1 it
+    # evaluates there, one per iterate, and no other solve is made
+    x, v, dt = P.l, 3.0, 1e-2
+    gaps, etas, solves = [], [], []
+    constants, evaluate, solve = (ecm.cell_constants, ecm.evaluate_branch,
+                                  ecm.solve_cell_dc)
 
-    def accelerating_cell(v, y, p, eta_guess=None):
-        solved.append(y)
-        speed = unit * min(1.0 + 2.0 * (x - y) / unit, 3.0)
-        return SimpleNamespace(v_cell=v, x=y, eta1=0.0,
-                               i_ion=speed / p._k_faraday)
+    def recording_constants(y, p):
+        gaps.append(y)
+        return constants(y, p)
 
-    sol = accelerating_cell(1.0, x, P)
-    monkeypatch.setattr(ecm, "solve_cell_dc", accelerating_cell)
-    y = _implicit_substep(sol, dt, P)
-    assert abs(y - (x - 3 * unit)) <= SUBSTEP_TOL
-    assert P.x_min not in solved
+    def recording_branch(eta1, *args):
+        etas.append(eta1)
+        return evaluate(eta1, *args)
+
+    def recording_solve(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ecm, "cell_constants", recording_constants)
+    monkeypatch.setattr(ecm, "evaluate_branch", recording_branch)
+    monkeypatch.setattr(ecm, "solve_cell_dc", recording_solve)
+    y = ecm.solve_cell_dc(v, x, P, dt=dt).x
+    assert y == P.x_min and len(solves) == 1
+    assert gaps == [min(max(x - dt * P._k_faraday * ionic_current(e, 1, P),
+                            P.x_min), P.l) for e in etas]
+    assert P.x_min in gaps
 
 
 def test_transient_requires_positive_dt():
@@ -358,10 +410,11 @@ def test_transient_requires_positive_dt():
 # ----------------------------------------------------------------------
 
 # SHA-256 of repr(rows) of the default-cell sweep at 300 samples,
-# recorded with the substep solve that starts from the explicit
-# predictor and takes secant steps from (x, g(x))
+# recorded with the substep as one bracketed Newton in eta1 along
+# y(eta1), warm-started from the DC solve at the substep's start, and
+# eta2 linear in eta1
 GOLD_UNIT_SWEEP_300 = (
-    "7d4fa406186ddf83eb75e8b766d8997a60cd3ec67a2222f586b327257ca75919")
+    "fdc12048ea3075de0e268ae20d04b236408d19a96345e7ddc923d7e0027a5f80")
 
 
 def test_sweep_rows_golden():
@@ -373,7 +426,8 @@ def test_sweep_rows_golden():
 
 def test_sweep_solves_each_unmoved_row_once(monkeypatch):
     # a row where nothing moved reuses the march's solve; the bound is the
-    # default sweep's count with that reuse (3,884 when each row re-solved)
+    # default sweep's count with that reuse and one solve per substep
+    # (3,884 when each row re-solved, 3,065 with a DC solve per secant step)
     calls = []
     solve = ecm.solve_cell_dc
 
@@ -383,7 +437,7 @@ def test_sweep_solves_each_unmoved_row_once(monkeypatch):
 
     monkeypatch.setattr(ecm, "solve_cell_dc", counted)
     sweep_iv_unit(DEFAULT_UNIT_AMPLITUDE, DEFAULT_SWEEP_RATE, EcmState(P.l), P)
-    assert len(calls) <= 3065
+    assert len(calls) <= 2863
 
 
 def test_sweep_landmarks_default():

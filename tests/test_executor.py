@@ -422,10 +422,11 @@ def test_behavioral_writeback_matches_latch():
 
 
 # SHA-256 of the repr of the session pulse, then of the 32 device_matrix
-# traces in key order (samples included), recorded before the pair state
-# became a gap tuple
+# traces in key order (samples included), recorded with each cell's
+# substep as one bracketed Newton in eta1 along y(eta1) and the divider
+# warm-started from the last eta1 pair
 GOLDEN_DEVICE_MATRIX = \
-    "0e49d623fdc690b0ceafbe24cd12c7e7002264e71c0ecdd158e605641414800e"
+    "c06127ab19ffb6aec833e540ecab7f2d256adbd059f82fe6c8e021654bdd1223"
 
 
 def test_device_matrix_golden(pulse, device_matrix):
