@@ -8,14 +8,15 @@ fsm_next with the step's resolved logic levels; reads return the stored
 bit and leave the cell at ONE.
 
 Device backend: every cell is a pair of ECM gaps.  Each step becomes
-one rectangular pulse of width t_pulse; line levels map to potentials
-('1' -> +V_w/2, '0' -> -V_w/2, ground -> 0) so intended writes see the
-full +-V_w, holds see 0, and every other touched cell sees at most
-V_w/2, which calibrated kinetics keep harmless.  Reads are destructive
-current-spike detections against the i_spike threshold.  A
-read-and-forward step splits its window: the read occupies the first
-half, the forwarded value drives the target bitline during the second
-half (the calibration margin makes half a window sufficient to switch).
+one rectangular pulse of width t_pulse; driven levels map to potentials
+('1' -> +V_w/2, '0' -> -V_w/2) so intended writes see the full +-V_w
+and holds see 0.  A ground line is undriven and floats: a cell on it
+carries no current, so no step half-selects a cell (calibration still
+checks that V_w/2 is harmless).  Reads are destructive current-spike
+detections against the i_spike threshold.  A read-and-forward step
+splits its window: the read occupies the first half, the forwarded
+value drives the target bitline during the second half (the
+calibration margin makes half a window sufficient to switch).
 
 Wires are ideal: line potentials reach every cell unattenuated, so cells
 decouple and each advances independently under its own applied voltage.
@@ -127,10 +128,10 @@ def _interpret(p, a_bits, b_bits, c0, cells):
     The program's slot table, lowered on its first run, maps every line
     to a slot of this run's level list.  Each step goes to the backend
     whole: its wordline levels, its bitline levels and the (cell, wl,
-    bl) levels of every cell whose two lines differ (equal levels hold
-    at both levels).  A step that forwards a read-out takes two half
-    windows: the forwarded bitlines stay grounded while the reads happen
-    (their slots hold ground until then), then carry the values read.
+    bl) levels of every cell on two driven lines that differ (equal
+    levels hold; a ground line floats).  A step that forwards a read-out
+    takes two half windows: its forwarded bitlines float during the
+    reads (their slots hold ground until then), then carry the values.
     """
     _check_operands(p, a_bits, b_bits, c0)
     try:
@@ -147,8 +148,9 @@ def _interpret(p, a_bits, b_bits, c0, cells):
             w = wls[wl_key] = wl_levels[wl_label] = vals[wl_slot]
             levels = [vals[i] for i in slots]
             bl_levels.update(zip(labels, levels))
-            pairs += [(key, w, b) for key, b in zip(keys, levels)
-                      if b != w and key is not None]
+            if w != "ground":
+                pairs += [(key, w, b) for key, b in zip(keys, levels)
+                          if b != w and b != "ground" and key is not None]
         got = cells.step(si, annotation, wls, pairs,
                          [key for key, *_ in step_reads],
                          0 if forwards else None)
@@ -163,7 +165,7 @@ def _interpret(p, a_bits, b_bits, c0, cells):
             for wl_key, label, slot, key in forwards:
                 w, b = wls[wl_key], vals[slot]
                 bl_levels[label] = b
-                if key is not None and b != w:
+                if key is not None and w != "ground" and b != w:
                     pairs.append((key, w, b))
             cells.step(si, annotation, wls, pairs, [], 1)
         steps.append(StepRecord(si, annotation, wl_levels, bl_levels,
@@ -192,8 +194,7 @@ class _BitCells:
         got = [self.read(key) for key in reads]
         state = self.state
         for key, w, b in pairs:
-            if w != "ground" and b != "ground":   # half-selected: holds
-                state[key] = _NEXT[state[key], w, b]
+            state[key] = _NEXT[state[key], w, b]
         return got
 
     def read(self, key):

@@ -7,11 +7,11 @@ is captured, optionally latched into a named register).
 
 Signal levels on a line are three-valued at run time: logic '1', logic
 '0', or ground.  Cells whose wordline and bitline carry equal logic
-levels hold their state; a grounded line leaves every cell it touches
-half-selected, which also holds.  Two signal kinds resolve dynamically:
-a read-and-forward (this cycle's read-out of another cell, driven onto
-the line within the same step) and a register reference (a value latched
-by an earlier read step).
+levels hold their state; a ground line is undriven and floats, so a
+cell on it carries no current and holds too.  Two signal kinds resolve
+dynamically: a read-and-forward (this cycle's read-out of another cell,
+driven onto the line within the same step) and a register reference (a
+value latched by an earlier read step).
 
 Two compilers are provided.  Both produce the sign-extended (n+1)-bit
 two's-complement sum of n-bit operands by running every sum cell through
@@ -243,9 +243,9 @@ def gen_pc_adder(n, subtract=False):
     ]
     for i in range(width):
         idx = min(i, n - 1)   # significance n reuses the operand MSBs
-        calc_bls = [GROUND if k < i else sig_b(idx) if k == i else sig_nb(idx)
-                    for k in range(width)]
-        aux_bls = [GROUND if k < i else sig_nb(idx) for k in range(width)]
+        b, nb = sig_b(idx), sig_nb(idx)
+        calc_bls = [GROUND] * i + [b] + [nb] * (n - i)
+        aux_bls = [GROUND] * i + [nb] * (width - i)
         steps.append(Step("carry", both(input_a(idx), calc_bls,
                                         input_a(idx), aux_bls)))
     for i in range(width):
@@ -288,14 +288,13 @@ def gen_tc_adder(n, subtract=False):
     ]
     for i in range(width):
         idx = min(i, n - 1)
-        carry_bls = [sig_nb(idx)] + [
-            GROUND if k < i else sig_b(idx) if k == i else sig_nb(idx)
-            for k in range(width)]
+        b, nb = sig_b(idx), sig_nb(idx)
+        carry_bls = [nb] + [GROUND] * i + [b] + [nb] * (n - i)
         steps.append(Step("carry", drive(input_a(idx), carry_bls)))
         steps.append(Step("read",
                           drive(CONST1, bls_with({0: CONST0})),
                           reads=(ReadDirective(tc_cell, f"c{i + 1}"),)))
-        steps.append(Step("sum2", drive(sig_b(idx),
+        steps.append(Step("sum2", drive(b,
                                         bls_with({i + 1: reg(f"c{i + 1}")}))))
         if i < width - 1:
             # the read left the carry cell at ONE: bl=const1 holds a

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 import re
 
 import pytest
@@ -35,6 +36,13 @@ from crsadder.executor import (
 )
 from crsadder.logic import int_to_word
 from crsadder.microcode import (
+    CONST0,
+    CONST1,
+    GROUND,
+    ArrayDrive,
+    CellAddr,
+    Program,
+    Step,
     gen_pc_adder,
     gen_tc_adder,
     input_a,
@@ -423,10 +431,12 @@ def test_behavioral_writeback_matches_latch():
 
 # SHA-256 of the repr of the session pulse, then of the 32 device_matrix
 # traces in key order (samples included), recorded with each cell's
-# substep as one bracketed Newton in eta1 along y(eta1) and the divider
-# warm-started from the last eta1 pair
+# substep as one bracketed Newton in eta1 along y(eta1), the divider
+# warm-started from the last eta1 pair, and cells on an undriven
+# (ground) line left floating: no half-select pulses, so bitline
+# currents carry no half-select leakage and read cells no drift
 GOLDEN_DEVICE_MATRIX = \
-    "c06127ab19ffb6aec833e540ecab7f2d256adbd059f82fe6c8e021654bdd1223"
+    "432b6ac04861bcf1b83d815886711912805fa8c8304d3aa234f07a8a85dd74b6"
 
 
 def test_device_matrix_golden(pulse, device_matrix):
@@ -485,35 +495,128 @@ def test_pulse_table_is_exact(params, pulse, cached_crs_pulse, monkeypatch):
         assert run_device(prog, a, b, 0, pp=pulse, ep=params) == tabled
 
 
+def _device_equals_behavioral(prog, a, b, pulse, params, where=None):
+    """Run prog at both levels and assert that per-step decoded states
+    and line levels, every read's (step, cell, latch, spike, bit) and the
+    result bits agree; returns the device trace."""
+    dev = run_device(prog, a, b, 0, pp=pulse, ep=params)
+    beh = run_behavioral(prog, a, b, 0)
+    assert len(dev.steps) == len(beh.steps) == len(prog.steps)
+    for d, h in zip(dev.steps, beh.steps):
+        assert d.cell_states == {c: str(v) for c, v
+                                 in h.cell_states.items()}, (where, d.index)
+        assert (d.wl_levels, d.bl_levels) == (h.wl_levels, h.bl_levels), \
+            (where, d.index)
+    assert [(r.step_index, r.cell, r.latch, r.spike, r.bit)
+            for r in dev.reads] \
+        == [(r.step_index, r.cell, r.latch, r.spike, r.bit)
+            for r in beh.reads], where
+    assert dev.result_bits == beh.result_bits, where
+    return dev
+
+
 @pytest.mark.parametrize("n", (3, 4))
 @pytest.mark.parametrize("gen,subtract", KINDS)
 def test_device_equals_behavioral_exhaustive(params, pulse, cached_crs_pulse,
                                              monkeypatch, gen, subtract, n):
     """Every n-bit operand pair, all four kinds on memoized pulses: result
-    bits against the oracle; per-step decoded states, line levels and
-    step-read verdicts against the behavioral run."""
+    bits against the oracle, and the device run against the behavioral
+    one."""
     monkeypatch.setattr(executor, "crs_pulse", cached_crs_pulse)
     prog = gen(n, subtract=subtract)
-    n_steps = len(prog.steps)
     for av in range(2 ** n):
         for bv in range(2 ** n):
             a, b = bits(av, n), bits(bv, n)
-            dev = run_device(prog, a, b, 0, pp=pulse, ep=params)
-            beh = run_behavioral(prog, a, b, 0)
+            dev = _device_equals_behavioral(prog, a, b, pulse, params,
+                                            (av, bv))
             want = oracles.sub_oracle(a, b) if subtract \
                 else oracles.add_oracle(a, b, 0)
             assert list(dev.result_bits) == want, (av, bv)
-            assert len(dev.steps) == len(beh.steps) == n_steps
-            for d, h in zip(dev.steps, beh.steps):
-                assert d.cell_states == {c: str(v) for c, v
-                                         in h.cell_states.items()}, \
-                    (av, bv, d.index)
-                assert (d.wl_levels, d.bl_levels) \
-                    == (h.wl_levels, h.bl_levels), (av, bv, d.index)
-            dev_v, beh_v = ([(r.step_index, r.cell, r.latch, r.spike, r.bit)
-                             for r in tr.reads if r.step_index < n_steps]
-                            for tr in (dev, beh))
-            assert dev_v == beh_v, (av, bv)
+
+
+def _wide_operands(kind, n):
+    if kind == "ones":
+        return [1] * n, [1] * n
+    rng = random.Random(n)
+    return ([rng.randint(0, 1) for _ in range(n)],
+            [rng.randint(0, 1) for _ in range(n)])
+
+
+@pytest.mark.parametrize("n", (8, 16, 32, 64))
+@pytest.mark.parametrize("kind", ("ones", "random"))
+@pytest.mark.parametrize("gen,subtract", KINDS)
+def test_device_equals_behavioral_wide(params, pulse, cached_crs_pulse,
+                                       monkeypatch, gen, subtract, kind, n):
+    """Wide words, all-ones and seeded random operands: a cell on an
+    undriven line floats, so no cell accumulates half-select drift and
+    the device run follows the behavioral one step by step."""
+    monkeypatch.setattr(executor, "crs_pulse", cached_crs_pulse)
+    a, b = _wide_operands(kind, n)
+    _device_equals_behavioral(gen(n, subtract=subtract), a, b, pulse, params)
+
+
+@pytest.mark.parametrize("gen,a,b", [
+    (gen_tc_adder, [1] * 106, [1] * 106),
+    (gen_tc_adder, [1] + [0] * 119, [0] * 120),
+    (gen_pc_adder, [1] + [0] * 119, [0] * 120)],
+    ids=["tc-106-ones", "tc-120-one", "pc-120-one"])
+def test_device_equals_behavioral_half_select_cases(
+        params, pulse, cached_crs_pulse, monkeypatch, gen, a, b):
+    """Additions whose peeled sum cells must hold through more than a
+    hundred later steps: any per-step drift of a cell on an undriven
+    line would flip their result bits."""
+    monkeypatch.setattr(executor, "crs_pulse", cached_crs_pulse)
+    _device_equals_behavioral(gen(len(a)), a, b, pulse, params)
+
+
+class _RecordingCells(_BitCells):
+    """Behavioral backend that keeps every (cell, wl, bl) it is handed."""
+
+    def __init__(self, p):
+        super().__init__(p)
+        self.pairs = []
+
+    def step(self, si, annotation, wls, pairs, reads, half):
+        self.pairs += pairs
+        return super().step(si, annotation, wls, pairs, reads, half)
+
+
+@pytest.mark.parametrize("gen,subtract", KINDS)
+def test_interpreter_never_pulses_a_cell_on_a_ground_line(gen, subtract):
+    prog = gen(4, subtract=subtract)
+    for av, bv in ((0, 0), (15, 15), (5, 10), (9, 3)):
+        cells = _RecordingCells(prog)
+        executor._interpret(prog, bits(av, 4), bits(bv, 4), 0, cells)
+        assert cells.pairs
+        assert all(w in (0, 1) and b in (0, 1) and w != b
+                   for _, w, b in cells.pairs)
+
+
+def test_ground_wordline_holds_every_cell(params, pulse):
+    """A hand-built program: write ONE into cell 0, then drive both
+    bitlines both ways under a ground wordline.  Nothing is pulsed, the
+    states hold at both levels and the device bitlines carry no current."""
+    cells = (CellAddr(0, 0, 0), CellAddr(0, 0, 1))
+
+    def step(wl, bls):
+        return Step("carry", (ArrayDrive(0, 0, wl, bls),))
+
+    prog = Program("hand", 1, False, (
+        step(CONST1, (CONST0, CONST1)),
+        step(GROUND, (CONST0, CONST1)),
+        step(GROUND, (CONST1, CONST0))), cells, cells)
+    rec = _RecordingCells(prog)
+    beh = executor._interpret(prog, [0], [0], 0, rec)[0]
+    assert rec.pairs == [("A0/0/0", 1, 0)]
+    dev = run_device(prog, [0], [0], 0, pp=pulse, ep=params)
+    for tr in (beh, dev.steps):
+        assert [{k: str(v) for k, v in r.cell_states.items()} for r in tr] \
+            == [{"A0/0/0": "1", "A0/0/1": "0"}] * 3
+    i_bl = [k for k, col in enumerate(dev.sample_columns)
+            if col.startswith("i_bl_")]
+    assert [row[k] for row in dev.samples if row[1] > 0 for k in i_bl] \
+        == [0.0] * (2 * 2 * executor.SAMPLES_PER_PULSE)
+    assert any(row[i_bl[0]] != 0.0 for row in dev.samples if row[1] == 0)
 
 
 def test_trace_files_roundtrip(tmp_path, device_matrix):
