@@ -7,7 +7,9 @@ registered), then runs perfbench/run.py in both trees for every
 workload of BENCHMARK.json, seed by seed, for the run length
 BENCHMARK.json sets, alternating which side runs first (even pair
 index: parent first).  Writes every run, the per-metric medians and
-quartiles of each side and one traced run (--trace 1, seed 1) per side
+quartiles of each side, a worse_beyond_bound flag per metric (the
+change's median worse than the parent's by more than the metric's
+BENCHMARK.json bound) and one traced run (--trace 1, seed 1) per side
 and workload to a BENCH_<n>.json file:
 
     python3 scripts/bench_pair.py --parent HEAD --out BENCH_5.json \\
@@ -63,15 +65,17 @@ def flat(result):
     return row
 
 
-def summarize(runs, better):
-    """Median and quartiles per side, and pairs where the change wins."""
+def summarize(runs, spec):
+    """Median and quartiles per side, pairs where the change wins, and
+    whether the change's median is worse than the parent's by more than
+    the metric's bound; spec maps a metric to its BENCHMARK.json entry."""
     side = {s: {r["seed"]: r for r in runs if r["side"] == s}
             for s in ("parent", "change")}
     seeds = sorted(set(side["parent"]) & set(side["change"]))
     out = {}
     for metric in END_TO_END if seeds else ():
         vals = {s: [side[s][k][metric] for k in seeds] for s in side}
-        higher = better[metric] == "higher"
+        higher = spec[metric]["better"] == "higher"
         wins = sum((c > p) if higher else (c < p)
                    for p, c in zip(vals["parent"], vals["change"]))
         entry = {}
@@ -83,8 +87,11 @@ def summarize(runs, better):
             entry[f"{s}_quartiles"] = [q[0], q[2]]
         entry["pairs"] = len(seeds)
         entry["change_better_in"] = wins
-        entry["median_ratio_change_over_parent"] = (
+        entry["median_ratio_change_over_parent"] = ratio = (
             entry["change_median"] / entry["parent_median"])
+        bound = spec[metric]["bound"]
+        entry["worse_beyond_bound"] = (ratio < 1 - bound if higher
+                                       else ratio > 1 + bound)
         out[metric] = entry
     return out
 
@@ -112,7 +119,7 @@ def main(argv=None):
         ap.error("a gain is judged on at least 10 pairs: give 10 seeds or more")
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    spec = {m["name"]: m for m in bench["end_to_end"]}
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
     sha = git("rev-parse", "--short", args.parent)
@@ -152,7 +159,7 @@ def main(argv=None):
                            "ran_first": side == order[0]}
                     row.update(flat(res))
                     runs.append(row)
-                entry["summary"] = summarize(runs, better)
+                entry["summary"] = summarize(runs, spec)
                 entry["failed"] = {
                     s: sum(r["failed"] for r in runs if r["side"] == s)
                     for s in trees}

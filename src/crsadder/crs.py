@@ -127,22 +127,25 @@ def solve_crs_divider(v_w, v_b, x_top, x_bot, p, vm_guess=None,
     """Middle-node voltage and branch solutions of the loaded pair.
 
     The top cell sees v_m - v_w, the bottom v_m - v_b (anti-serial).  One
-    damped Newton in the eta1 of the lower-gap (low) and the other (far)
-    cell drives the loop KVL V_far - V_low - (low line - far line) and
-    the node KCL I_low + I_far; its 2x2 Jacobian is analytic, with a
-    negative determinant.  v_m is the low line plus V_low, exact next to
-    a line.  Each eta1 starts from its entry of eta_guess = (eta1 top,
-    eta1 bottom) when that lies inside its bracket, else at half its cell
-    voltage, from vm_guess when that lies between the lines, else from
-    v_m at the low line; it moves by ecm.eta_step inside its bracket.
+    damped Newton in the eta1 of the lower-gap (low; on a tie, the one on
+    the higher line) and the other (far) cell drives the loop KVL V_far -
+    V_low - (low line - far line) and the node KCL I_low + I_far; its 2x2
+    Jacobian is analytic, with a negative determinant.  v_m is the low
+    line plus V_low, exact next to a line.  Each eta1 starts from its
+    entry of eta_guess = (eta1 top, eta1 bottom) when that lies inside
+    its bracket, else at half its cell voltage, from vm_guess when that
+    lies between the lines, else from v_m at the low line; it moves by
+    ecm.eta_step inside its bracket.
 
     Returns (v_m, j_series, sol_top, sol_bot), j_series the bottom cell
     current (wl to bl), with |i_top + i_bot| <= max(DIVIDER_KCL_TOL *
     max(|i_top|, |i_bot|), DIVIDER_KCL_FLOOR) and the loop residual, the
     far cell's kvl_residual, within max(KVL_TOL * |v_w - v_b|, 1e-300);
-    raises ConvergenceError when 100 iterations miss either.
+    raises ConvergenceError when 100 iterations miss either.  The mirror
+    pair, gaps and lines swapped, runs the same float operations and
+    returns the same v_m with sol_top and sol_bot swapped.
     """
-    top_low = x_top <= x_bot
+    top_low = x_top < x_bot or (x_top == x_bot and v_w >= v_b)
     if top_low:
         v_low, x_low, x_far, diff = v_w, x_top, x_bot, v_w - v_b
     else:
@@ -210,14 +213,14 @@ class _PairSolve:
     """The pair's divider at one applied voltage, as ecm.march's solve.
 
     Splits v_applied +v/2 on wl, -v/2 on bl once, warm-starts from the
-    last v_m and eta1 pair, keeps the peak |j| and solves a gap pair only
-    when it differs from the last one; at(xs) is the divider's result
-    there.
+    last v_m and eta1 pair, keeps each cell's peak |i| as peaks = (top,
+    bottom) and solves a gap pair only when it differs from the last one;
+    at(xs) is the divider's result there.
     """
 
     def __init__(self, v_applied, p):
         self.v_w, self.v_b, self.p = 0.5 * v_applied, -0.5 * v_applied, p
-        self.peak, self.xs, self.last, self.guess = 0.0, None, None, {}
+        self.peaks, self.xs, self.last, self.guess = (0.0, 0.0), None, None, {}
 
     def at(self, xs):
         if xs != self.xs:
@@ -225,7 +228,8 @@ class _PairSolve:
                 self.v_w, self.v_b, *xs, self.p, **self.guess)
             self.guess = {"vm_guess": vm, "eta_guess": (st.eta1, sb.eta1)}
             self.xs = xs
-            self.peak = max(self.peak, abs(self.last[1]))
+            self.peaks = (max(self.peaks[0], abs(st.i_total)),
+                          max(self.peaks[1], abs(sb.i_total)))
         return self.last
 
     def __call__(self, xs):
@@ -244,9 +248,15 @@ def crs_pulse(xs, v_applied, t_pulse, p, n_samples):
     bl, to the gaps xs = (x_top, x_bottom); record the current waveform.
 
     Returns (gaps_after, peak_abs_current, samples); samples are (t, v_m,
-    j_series, x_top, x_bottom) rows, n_samples of them spread evenly over
-    the pulse.  Each gap pair is solved once: a sample row is the divider
-    solve that the next interval starts from.
+    i_top, i_bottom, x_top, x_bottom, peak_top, peak_bottom) rows,
+    n_samples of them spread evenly over the pulse, with each cell's
+    current and its peak |i| so far.  i_bottom is the series current, wl
+    to bl, and peak_abs_current its peak.  Each gap pair is solved once:
+    a sample row is the divider solve that the next interval starts from.
+    Two identities hold bit for bit: the first n rows of a pulse at 2n
+    samples are the pulse at half the width and n samples, and the pulse
+    from (x_bottom, x_top) at -v_applied is this one with each top and
+    bottom column swapped (solve_crs_divider's mirror).
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
@@ -256,10 +266,10 @@ def crs_pulse(xs, v_applied, t_pulse, p, n_samples):
     t = 0.0
     for _ in range(n_samples):
         xs = march(xs, solve, sample_dt, p, CRS_MOTION_LIMIT)
-        vm, j, _, _ = solve.at(xs)
+        vm, _, st, sb = solve.at(xs)
         t += sample_dt
-        samples.append((t, vm, j, *xs))
-    return xs, solve.peak, samples
+        samples.append((t, vm, st.i_total, sb.i_total, *xs, *solve.peaks))
+    return xs, solve.peaks[1], samples
 
 
 # ======================================================================

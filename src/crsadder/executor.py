@@ -22,7 +22,9 @@ Wires are ideal: line potentials reach every cell unattenuated, so cells
 decouple and each advances independently under its own applied voltage.
 A pulse is therefore a pure function of its inputs (the two gaps, the
 voltage, the width, the sample count and the cell parameters), and a
-device run computes each distinct pulse once.
+device run makes one march per canonical start and voltage: a half
+window is the full window's first half, and a start with x_top >
+x_bottom is its mirror at the opposite voltage (crs_pulse's identities).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .crs import (
     CRS_MOTION_LIMIT,
@@ -74,8 +77,7 @@ class PulseParams:
                              "and > 0")
 
 
-@dataclass(frozen=True)
-class ReadRecord:
+class ReadRecord(NamedTuple):
     step_index: int
     cell: str
     latch: str | None
@@ -84,8 +86,7 @@ class ReadRecord:
     peak_current: float | None   # None at behavioral level
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     index: int
     annotation: str
     wl_levels: dict               # "A<array>" -> level
@@ -93,8 +94,7 @@ class StepRecord:
     cell_states: dict             # cell addr str -> "0"/"1" after the step
 
 
-@dataclass(frozen=True)
-class ExecTrace:
+class ExecTrace(NamedTuple):
     level: str                    # "behavioral" | "device"
     scheme: str
     n: int
@@ -212,10 +212,14 @@ class _PairCells:
 
     Every used cell starts at ZERO (the init read makes the outcome
     independent of prior content).  Pulses follow one another without
-    gaps, and waveform samples cover each pulse window.
+    gaps, and waveform samples cover each pulse window.  The pulse table
+    holds one march per canonical start and voltage of this run.
     """
 
     def __init__(self, p, pp, ep):
+        if SAMPLES_PER_PULSE % 2:
+            raise ValueError(f"SAMPLES_PER_PULSE must be even, got "
+                             f"{SAMPLES_PER_PULSE!r}")
         self.pp, self.ep = pp, ep
         self.pulses = {}
         self.states = {str(c): crs_state_for_bit(0, ep) for c in p.used_cells}
@@ -235,14 +239,23 @@ class _PairCells:
             return 0.0
         return 0.5 * self.pp.v_w if level == 1 else -0.5 * self.pp.v_w
 
-    def _pulse(self, xs, v, dur, n):
-        """crs_pulse(xs, v, dur, ep, n_samples=n), each distinct one once."""
-        key = (*xs, v, dur, n)
-        got = self.pulses.get(key)
-        if got is None:
-            got = self.pulses[key] = crs_pulse(xs, v, dur, self.ep,
-                                               n_samples=n)
-        return got
+    def _pulse(self, xs, v, n):
+        """(gaps after, peak |j|, j per sample) of the first n samples of a
+        full-window pulse: crs_pulse(xs, v, t_pulse, ep, n_samples=n) for
+        n = SAMPLES_PER_PULSE, and its half window for half of that.  All
+        are read from one full-window march per canonical start: xs, or
+        for x_top > x_bottom its mirror at -v with the cells swapped."""
+        flip = xs[0] > xs[1]
+        key = (xs[::-1], -v) if flip else (xs, v)
+        rows = self.pulses.get(key)
+        if rows is None:
+            rows = self.pulses[key] = crs_pulse(
+                *key, self.pp.t_pulse, self.ep,
+                n_samples=SAMPLES_PER_PULSE)[2]
+        col = 2 if flip else 3   # the current of the request's bottom cell
+        last = rows[n - 1]
+        return ((last[5], last[4]) if flip else last[4:6], last[col + 4],
+                [row[col] for row in rows[:n]])
 
     def _verdict(self, peak):
         spike = peak > self.pp.i_spike
@@ -260,7 +273,7 @@ class _PairCells:
         waves, peaks = {}, {}
         for key, w, b in pairs:
             self.states[key], peaks[key], waves[key] = self._pulse(
-                self.states[key], self._volts(w) - self._volts(b), dur, n)
+                self.states[key], self._volts(w) - self._volts(b), n)
         v_wl = [self._volts(wls[k]) if k in wls else 0.0
                 for k in self.wl_keys]
         for j in range(n):
@@ -269,7 +282,7 @@ class _PairCells:
                 i_bl = 0.0
                 for key in keys:
                     if key in waves:
-                        i_bl += waves[key][j][2]
+                        i_bl += waves[key][j]
                 row.append(i_bl)
             self.samples.append(tuple(row))
         if half != 0:
@@ -280,8 +293,7 @@ class _PairCells:
         """Destructive read: a full write-ONE pulse that spikes iff the
         cell held ZERO; returns (bit, spike, peak)."""
         pp = self.pp
-        xs, peak, _ = self._pulse(self.states[key], pp.v_w, pp.t_pulse,
-                                  SAMPLES_PER_PULSE)
+        xs, peak, _ = self._pulse(self.states[key], pp.v_w, SAMPLES_PER_PULSE)
         if decode_state(xs, self.ep.gap_midpoint()) is not CrsLogicState.ONE:
             raise ExecutionError("read did not leave the cell at ONE")
         self.states[key] = xs

@@ -33,7 +33,8 @@ def _bits(value, n):
 def cached_crs_pulse():
     """crs_pulse memoized across runs, for tests that patch it into the
     executor: a pulse is a pure function of its (frozen) inputs, so many
-    device runs then compute each distinct pulse once between them."""
+    device runs then compute each full-window march of their pulse
+    tables, one per canonical start and voltage, once between them."""
     return functools.cache(crs_pulse)
 
 

@@ -1,6 +1,7 @@
 """scripts/bench_pair.py: seed lists and the per-metric pair summary."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -17,7 +18,9 @@ def bench_pair():
     return module
 
 
-BETTER = {"ops_per_s": "higher", "peak_rss_mb": "lower", "setup_s": "lower"}
+SPEC = {"ops_per_s": {"better": "higher", "bound": 0.24},
+        "peak_rss_mb": {"better": "lower", "bound": 0.1},
+        "setup_s": {"better": "lower", "bound": 0.25}}
 
 
 def _runs(side, values):
@@ -40,8 +43,8 @@ def test_summarize_medians_quartiles_and_wins(bench_pair):
     change = _runs("change", {"ops_per_s": [2, 3, 4, 5, 6],
                               "peak_rss_mb": [9, 11, 9, 11, 9],
                               "setup_s": [1, 1, 1, 1, 1]})
-    out = bench_pair.summarize(parent + change, BETTER)
-    assert set(out) == set(BETTER)
+    out = bench_pair.summarize(parent + change, SPEC)
+    assert set(out) == set(SPEC)
 
     ops = out["ops_per_s"]   # higher is better; seed 6 has no pair
     assert ops["pairs"] == 5
@@ -61,5 +64,31 @@ def test_summarize_medians_quartiles_and_wins(bench_pair):
 
 
 def test_summarize_without_pairs_is_empty(bench_pair):
-    parent = _runs("parent", {m: [1.0] for m in BETTER})
-    assert bench_pair.summarize(parent, BETTER) == {}
+    parent = _runs("parent", {m: [1.0] for m in SPEC})
+    assert bench_pair.summarize(parent, SPEC) == {}
+
+
+def test_summarize_flags_a_median_worse_beyond_the_bound(bench_pair):
+    parent = _runs("parent", {"ops_per_s": [100, 100, 100],
+                              "peak_rss_mb": [20, 20, 20],
+                              "setup_s": [1.0, 1.0, 1.0]})
+    change = _runs("change", {"ops_per_s": [75, 77, 90],      # 0.77x
+                              "peak_rss_mb": [23, 22.4, 21],  # 1.12x
+                              "setup_s": [1.2, 1.2, 2.0]})    # 1.2x
+    out = bench_pair.summarize(parent + change, SPEC)
+    assert {m: e["worse_beyond_bound"] for m, e in out.items()} == {
+        "ops_per_s": False, "peak_rss_mb": True, "setup_s": False}
+    change = _runs("change", {"ops_per_s": [70, 75, 90],      # 0.75x
+                              "peak_rss_mb": [5, 5, 5],
+                              "setup_s": [1.3, 1.3, 1.3]})    # 1.3x
+    out = bench_pair.summarize(parent + change, SPEC)
+    assert {m: e["worse_beyond_bound"] for m, e in out.items()} == {
+        "ops_per_s": True, "peak_rss_mb": False, "setup_s": True}
+
+
+def test_bounds_are_read_from_the_benchmark(bench_pair):
+    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
+        bench = json.load(fh)
+    assert {m["name"] for m in bench["end_to_end"]} == set(
+        bench_pair.END_TO_END)
+    assert all(0 < m["bound"] < 1 for m in bench["end_to_end"])

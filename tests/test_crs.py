@@ -171,6 +171,17 @@ def test_divider_meets_kcl_tolerance(x_top, x_bot, v, common):
                       solve_crs_divider(v_w, v_b, x_top, x_bot, P))
 
 
+@given(x_top=gaps, x_bot=gaps, v=line_differences)
+@example(x_top=5e-9, x_bot=5e-9, v=-V_W)
+@example(x_top=P.x_min, x_bot=P.x_min, v=-V_W / 2)
+def test_divider_mirror_is_exact(x_top, x_bot, v):
+    # gaps and lines swapped, the divider runs the same float operations,
+    # on a tie too: crs_pulse's mirror identity rests on this
+    vm, _, s_top, s_bot = solve_crs_divider(v / 2, -v / 2, x_top, x_bot, P)
+    assert solve_crs_divider(-v / 2, v / 2, x_bot, x_top, P) \
+        == (vm, s_top.i_total, s_bot, s_top)
+
+
 def test_divider_that_cannot_converge_raises(monkeypatch):
     # a branch current that jumps across zero, by a step that differs
     # between the two cells, leaves KCL no root; the divider must say so
@@ -257,10 +268,16 @@ def test_full_write_passes_through_on():
     s0 = crs_state_for_bit(0, P)
     s1, peak, samples = crs_pulse(s0, V_W, T_PULSE, P, n_samples=60)
     assert decode_state(s1, MID) is CrsLogicState.ONE
-    labels = [classify(xt, xb, MID) for _, _, _, xt, xb in samples]
+    labels = [classify(xt, xb, MID) for *_, xt, xb, _, _ in samples]
     assert CrsLogicState.ON in labels
     # the ON interval carries the write spike
     assert peak > 1e-3
+    # each row's running peaks bound every current so far, and the
+    # bottom cell's last one is the pulse's peak
+    for k, (*_, pk_top, pk_bot) in enumerate(samples):
+        assert pk_top >= max(abs(r[2]) for r in samples[:k + 1])
+        assert pk_bot >= max(abs(r[3]) for r in samples[:k + 1])
+    assert samples[-1][-1] == peak
 
 
 def test_read_of_one_is_quiet():

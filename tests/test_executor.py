@@ -20,6 +20,7 @@ from crsadder.crs import (
 )
 from crsadder.ecm import EcmParams
 from crsadder.executor import (
+    SAMPLES_PER_PULSE,
     CalibrationError,
     ExecutionError,
     PulseParams,
@@ -465,17 +466,23 @@ KINDS = [(gen, subtract) for gen in (gen_pc_adder, gen_tc_adder)
 
 
 def test_pulse_table_is_exact(params, pulse, cached_crs_pulse, monkeypatch):
-    """A device run calls crs_pulse once per distinct pulse, and its trace
-    equals the one that calls crs_pulse for every pulse, and the one on
-    pulses memoized across runs, as the shared fixtures use them."""
+    """A device run calls crs_pulse at most once per canonical start and
+    voltage, and its trace equals the one that calls crs_pulse for every
+    pulse, and the one on pulses memoized across runs, as the shared
+    fixtures use them."""
     calls = []
 
     def counted(s, v, dur, ep, n_samples):
         calls.append((s, v, dur, ep, n_samples))
         return crs_pulse(s, v, dur, ep, n_samples=n_samples)
 
-    def uncached(self, s, v, dur, n):
-        return executor.crs_pulse(s, v, dur, self.ep, n_samples=n)
+    def uncached(self, s, v, n):
+        dur = self.pp.t_pulse * (1.0 if n == SAMPLES_PER_PULSE else 0.5)
+        xs, peak, rows = executor.crs_pulse(s, v, dur, self.ep, n_samples=n)
+        return xs, peak, [row[3] for row in rows]
+
+    def canonical(s, v):
+        return (s[::-1], -v) if s[0] > s[1] else (s, v)
 
     for (gen, subtract), (av, bv) in zip(KINDS, ((1, 1), (2, 3), (0, 1),
                                                  (3, 0))):
@@ -483,16 +490,60 @@ def test_pulse_table_is_exact(params, pulse, cached_crs_pulse, monkeypatch):
         monkeypatch.setattr(executor, "crs_pulse", counted)
         calls.clear()
         tabled = run_device(prog, a, b, 0, pp=pulse, ep=params)
-        computed = list(calls)
-        assert len(set(computed)) == len(computed)
+        starts = [(s, v) for s, v, *_ in calls]
+        assert len(set(starts)) == len(starts)
+        assert all(canonical(s, v) == (s, v) for s, v in starts)
+        assert {c[2:] for c in calls} == {
+            (pulse.t_pulse, params, SAMPLES_PER_PULSE)}
         with monkeypatch.context() as mp:
             mp.setattr(_PairCells, "_pulse", uncached)
             calls.clear()
             assert run_device(prog, a, b, 0, pp=pulse, ep=params) == tabled
-            assert set(calls) == set(computed)
-            assert len(calls) > len(computed)
+            assert {canonical(s, v) for s, v, *_ in calls} == set(starts)
+            assert len(calls) > len(starts)
         monkeypatch.setattr(executor, "crs_pulse", cached_crs_pulse)
         assert run_device(prog, a, b, 0, pp=pulse, ep=params) == tabled
+
+
+def _mirror(row):
+    t, vm, i_top, i_bot, x_top, x_bot, pk_top, pk_bot = row
+    return t, vm, i_bot, i_top, x_bot, x_top, pk_bot, pk_top
+
+
+CELLS = [("default", 1.0)] + [(name, scale) for name in
+                              ("j0", "a_fil", "sigma_ion", "t", "dw0")
+                              for scale in (0.95, 1.05)]
+
+
+@pytest.mark.parametrize("name,scale", CELLS)
+def test_one_march_carries_the_rail_pulses(name, scale):
+    """On each calibrated cell, the pulse from ONE at -v is the mirror of
+    the one from ZERO at +v, and a half window is the first half of the
+    full window's rows, bit for bit: the pulse table serves all of them
+    from one march."""
+    p = EcmParams()
+    if name != "default":
+        p = dataclasses.replace(p, **{name: getattr(p, name) * scale})
+    pp = calibrate_pulse(p)
+    zero, one = crs_state_for_bit(0, p), crs_state_for_bit(1, p)
+    half = SAMPLES_PER_PULSE // 2
+    for v in (pp.v_w, -pp.v_w, 0.5 * pp.v_w, -0.5 * pp.v_w):
+        rows = crs_pulse(zero, v, pp.t_pulse, p,
+                         n_samples=SAMPLES_PER_PULSE)[2]
+        mirrored = [_mirror(r) for r in rows]
+        for dur, n in ((pp.t_pulse, SAMPLES_PER_PULSE),
+                       (0.5 * pp.t_pulse, half)):
+            last = rows[n - 1]
+            assert crs_pulse(zero, v, dur, p, n_samples=n) \
+                == (last[4:6], last[7], rows[:n]), (v, n)
+            assert crs_pulse(one, -v, dur, p, n_samples=n) \
+                == (_mirror(last)[4:6], last[6], mirrored[:n]), (v, n)
+
+
+def test_samples_per_pulse_must_be_even(params, pulse, monkeypatch):
+    monkeypatch.setattr(executor, "SAMPLES_PER_PULSE", 41)
+    with pytest.raises(ValueError, match="must be even"):
+        run_device(gen_pc_adder(1), [0], [1], 0, pp=pulse, ep=params)
 
 
 def _device_equals_behavioral(prog, a, b, pulse, params, where=None):

@@ -24,3 +24,6 @@ def test_two_invocations_print_identical_counts():
                                 "solve_crs_divider", "crs_pulse"]
     (runs,) = [line for line in lines if line.startswith("runs (1)")]
     assert all(int(n) > 0 for n in runs.split()[-4:])
+    # one march per canonical start and voltage: every pulse of a run
+    # starts on a rail at +-V_w, and ONE at -v is ZERO at +v mirrored
+    assert int(runs.split()[-1]) <= 2
