@@ -1,16 +1,21 @@
 #!/usr/bin/env python3
-"""Deterministic call counts of the device level's solver layers.
+"""Deterministic call counts of the device level's solver layers and decodes.
 
-Rebinds ecm.evaluate_branch, ecm.solve_cell_dc, crs.solve_crs_divider
-and crs.crs_pulse to counting wrappers in every package module that
-holds them (crs and executor import some of them by name), from outside
-the source, and prints the calls each layer makes in three sections:
+Rebinds ecm.evaluate_branch, ecm.solve_cell_dc, crs.solve_crs_divider,
+crs.crs_pulse and crs.decode_state to counting wrappers in every package
+module that holds them (crs and executor import some of them by name),
+from outside the source, and prints the calls each layer makes in four
+sections:
 
     calibrate      executor.calibrate_pulse on the default cell
     runs           run_device at n=2 with that pulse: pc and tc, add and
                    subtract, all 16 operand pairs (64 runs)
+    wide           one tc addition at n=128 with that pulse, operand bits
+                   drawn from random.Random(128)
     characterize   one default-cell characterize pass: calibrate_pulse,
                    sweep_iv_crs and sweep_iv_unit at their defaults
+
+The last line sums calibrate and runs.
 
 The counts do not depend on the machine, so two invocations print the
 same table.  Run from the root of the repository:
@@ -22,12 +27,14 @@ same table.  Run from the root of the repository:
 import argparse
 import collections
 import functools
+import random
 import sys
 
 from crsadder import crs, ecm, executor, microcode
 
 LAYERS = (("ecm", "evaluate_branch"), ("ecm", "solve_cell_dc"),
-          ("crs", "solve_crs_divider"), ("crs", "crs_pulse"))
+          ("crs", "solve_crs_divider"), ("crs", "crs_pulse"),
+          ("crs", "decode_state"))
 MODULES = (ecm, crs, executor)
 
 
@@ -69,6 +76,12 @@ def sections(n_runs):
             executor.run_device(prog, bits(a, 2), bits(b, 2), 0,
                                 pp=pulse[0], ep=p)
 
+    def wide():
+        rng = random.Random(128)
+        a, b = ([rng.randint(0, 1) for _ in range(128)] for _ in range(2))
+        executor.run_device(microcode.gen_tc_adder(128), a, b, 0,
+                            pp=pulse[0], ep=p)
+
     def characterize():
         executor.calibrate_pulse(p)
         crs.sweep_iv_crs(crs.DEFAULT_CRS_AMPLITUDE, ecm.DEFAULT_SWEEP_RATE,
@@ -77,7 +90,7 @@ def sections(n_runs):
                           ecm.EcmState(p.l), p)
 
     return (("calibrate", calibrate), (f"runs ({n_runs})", runs),
-            ("characterize", characterize))
+            ("wide", wide), ("characterize", characterize))
 
 
 def main(argv=None):
@@ -95,7 +108,7 @@ def main(argv=None):
     for label, run in sections(args.runs):
         counts.clear()
         run()
-        if not label.startswith("characterize"):
+        if label not in ("wide", "characterize"):
             total.update(counts)
         print(f"{label:<14}" + "".join(f"{counts[n]:>19}" for n in names))
     print(f"{'calib + runs':<14}" + "".join(f"{total[n]:>19}" for n in names))

@@ -91,7 +91,7 @@ class StepRecord(NamedTuple):
     annotation: str
     wl_levels: dict               # "A<array>" -> level
     bl_levels: dict               # "A<array>/<bl>" -> level
-    cell_states: dict             # cell addr str -> "0"/"1" after the step
+    cell_states: dict             # addr str -> 0/1, device "0"/"1"/"on"
 
 
 class ExecTrace(NamedTuple):
@@ -160,8 +160,6 @@ def _interpret(p, a_bits, b_bits, c0, cells):
                 vals[reg] = bit
             reads.append(ReadRecord(si, key, latch, spike, bit, peak))
         if forwards:
-            held = {key for *_, key in forwards}
-            pairs = [c for c in pairs if c[0] not in held]
             for wl_key, label, slot, key in forwards:
                 w, b = wls[wl_key], vals[slot]
                 bl_levels[label] = b
@@ -213,7 +211,9 @@ class _PairCells:
     Every used cell starts at ZERO (the init read makes the outcome
     independent of prior content).  Pulses follow one another without
     gaps, and waveform samples cover each pulse window.  The pulse table
-    holds one march per canonical start and voltage of this run.
+    holds one march per canonical start and voltage of this run.  Rows
+    start from the step's wordline voltages and a zero per bitline, then
+    add each pulsed cell's current; only pulsed or read cells re-decode.
     """
 
     def __init__(self, p, pp, ep):
@@ -223,16 +223,17 @@ class _PairCells:
         self.pp, self.ep = pp, ep
         self.pulses = {}
         self.states = {str(c): crs_state_for_bit(0, ep) for c in p.used_cells}
-        on_bl = {}
-        for c in p.used_cells:
-            on_bl.setdefault((c.array, c.bl), []).append(str(c))
+        # peak |j| of each cell pulsed or read since the last snapshot
+        self.decoded, self.peaks = dict.fromkeys(self.states, "0"), {}
         self.wl_keys = sorted({(c.array, c.wl) for c in p.used_cells})
-        self.on_bl = [on_bl[k] for k in sorted(on_bl)]
+        bls = sorted({(c.array, c.bl) for c in p.used_cells})
+        col = {bl: k for k, bl in enumerate(bls, 3 + len(self.wl_keys))}
+        self.column = {str(c): col[c.array, c.bl] for c in p.used_cells}
+        self.zeros = [0.0] * len(bls)
         self.columns = (("time_s", "step_index", "annotation")
                         + tuple(f"v_wl_{a}_{w}" for a, w in self.wl_keys)
-                        + tuple(f"i_bl_{a}_{b}" for a, b in sorted(on_bl)))
-        self.samples = []
-        self.t = 0.0
+                        + tuple(f"i_bl_{a}_{b}" for a, b in bls))
+        self.samples, self.t = [], 0.0
 
     def _volts(self, level):
         if level == "ground":
@@ -270,24 +271,20 @@ class _PairCells:
             dur, n = 0.5 * pp.t_pulse, SAMPLES_PER_PULSE // 2
             if half:
                 t0 += dur
-        waves, peaks = {}, {}
+        waves = []
         for key, w, b in pairs:
-            self.states[key], peaks[key], waves[key] = self._pulse(
+            self.states[key], self.peaks[key], wave = self._pulse(
                 self.states[key], self._volts(w) - self._volts(b), n)
-        v_wl = [self._volts(wls[k]) if k in wls else 0.0
-                for k in self.wl_keys]
+            waves.append((self.column[key], wave))
+        head = [self._volts(wls.get(k, "ground")) for k in self.wl_keys]
         for j in range(n):
-            row = [t0 + (j + 1) * dur / n, si, annotation] + v_wl
-            for keys in self.on_bl:
-                i_bl = 0.0
-                for key in keys:
-                    if key in waves:
-                        i_bl += waves[key][j]
-                row.append(i_bl)
+            row = [t0 + (j + 1) * dur / n, si, annotation, *head, *self.zeros]
+            for k, wave in waves:
+                row[k] += wave[j]   # a step pulses one cell per column
             self.samples.append(tuple(row))
         if half != 0:
             self.t += pp.t_pulse
-        return [self._verdict(peaks.get(key, 0.0)) for key in reads]
+        return [self._verdict(self.peaks[key]) for key in reads]
 
     def read(self, key):
         """Destructive read: a full write-ONE pulse that spikes iff the
@@ -296,13 +293,15 @@ class _PairCells:
         xs, peak, _ = self._pulse(self.states[key], pp.v_w, SAMPLES_PER_PULSE)
         if decode_state(xs, self.ep.gap_midpoint()) is not CrsLogicState.ONE:
             raise ExecutionError("read did not leave the cell at ONE")
-        self.states[key] = xs
+        self.states[key], self.peaks[key] = xs, peak
         return self._verdict(peak)
 
     def snapshot(self):
         mid = self.ep.gap_midpoint()
-        return {key: str(decode_state(xs, mid))
-                for key, xs in self.states.items()}
+        for key in self.peaks:
+            self.decoded[key] = str(decode_state(self.states[key], mid))
+        self.peaks.clear()
+        return dict(self.decoded)
 
 
 def run_behavioral(p, a_bits, b_bits, c0=0):

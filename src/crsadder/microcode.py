@@ -339,9 +339,15 @@ def validate_program(p):
     for si, step in enumerate(p.steps):
         arrays_seen = set()
         step_reads = {r.cell for r in step.reads}
+        drive_on = {(d.array, d.wl_index): d.bls for d in step.drives
+                    if d.wl == CONST1}
         for r in step.reads:
             if r.cell not in used:
                 diags.append(f"step {si}: read of undeclared cell {r.cell}")
+            bls = drive_on.get((r.cell.array, r.cell.wl), ())
+            if r.cell.bl >= len(bls) or bls[r.cell.bl] != CONST0:
+                diags.append(f"step {si}: read of {r.cell} is not driven as "
+                             f"write-ONE (wordline const1, bitline const0)")
         for d in step.drives:
             if d.array in arrays_seen:
                 diags.append(f"step {si}: array {d.array} driven twice")

@@ -43,10 +43,14 @@ from crsadder.microcode import (
     ArrayDrive,
     CellAddr,
     Program,
+    ReadDirective,
     Step,
     gen_pc_adder,
     gen_tc_adder,
     input_a,
+    input_b,
+    read_forward,
+    reg,
     validate_program,
 )
 
@@ -621,14 +625,17 @@ def test_device_equals_behavioral_half_select_cases(
 
 
 class _RecordingCells(_BitCells):
-    """Behavioral backend that keeps every (cell, wl, bl) it is handed."""
+    """Behavioral backend that keeps every (cell, wl, bl) it is handed,
+    and the keys of the cells pulsed in each step."""
 
     def __init__(self, p):
         super().__init__(p)
         self.pairs = []
+        self.pulsed = {}
 
     def step(self, si, annotation, wls, pairs, reads, half):
         self.pairs += pairs
+        self.pulsed.setdefault(si, set()).update(key for key, *_ in pairs)
         return super().step(si, annotation, wls, pairs, reads, half)
 
 
@@ -668,6 +675,113 @@ def test_ground_wordline_holds_every_cell(params, pulse):
     assert [row[k] for row in dev.samples if row[1] > 0 for k in i_bl] \
         == [0.0] * (2 * 2 * executor.SAMPLES_PER_PULSE)
     assert any(row[i_bl[0]] != 0.0 for row in dev.samples if row[1] == 0)
+
+
+def _one_row_step(wl_index, annotation, wl, bls, reads=()):
+    return Step(annotation, (ArrayDrive(0, wl_index, wl, bls),), reads)
+
+
+def _two_row_program():
+    """Array 0 with wordlines 0 and 1 over bitlines 0 and 1, so two cells
+    share each bitline column: writes and holds on both rows, a latched
+    read on row 0 consumed on row 1, and a read of row 0 forwarded along
+    it."""
+    c = {(wl, bl): CellAddr(0, wl, bl) for wl in (0, 1) for bl in (0, 1)}
+    steps = (
+        _one_row_step(0, "carry", CONST1, (CONST0, CONST1)),
+        _one_row_step(1, "carry", CONST1, (CONST0, CONST0)),
+        _one_row_step(1, "carry", input_a(0), (CONST1, input_b(0))),
+        _one_row_step(0, "read", CONST1, (CONST0, GROUND),
+                      (ReadDirective(c[0, 0], "c1"),)),
+        _one_row_step(1, "sum2", reg("c1"), (CONST0, CONST1)),
+        _one_row_step(0, "carry", CONST0, (input_a(0), GROUND)),
+        _one_row_step(0, "sum2", CONST1, (CONST0, read_forward(c[0, 0])),
+                      (ReadDirective(c[0, 0]),)),
+    )
+    return Program("hand", 1, False, steps, (c[1, 0], c[1, 1]),
+                   tuple(c.values()))
+
+
+# SHA-256 of the repr of device traces on memoized pulses: one n=16 run
+# per kind on _wide_operands("random", 16), and the four operand pairs
+# of _two_row_program, whose bitline columns each hold two cells
+GOLDEN_WIDE = {
+    "pc-add":
+        "f6228d6e705b79b5bc19994f9b703f0d4b569d667d19502ee66c54e8b9a8b408",
+    "pc-sub":
+        "57df59bca70121ed272bfa3609a321cf743972fcad0e8a548b98a9d4366251ba",
+    "tc-add":
+        "6e493dc91dbec701613fa2bc947b8978057cf6279b8a15dcfff6cb02f42d9a10",
+    "tc-sub":
+        "162e1f60d9141e9140e9df548581c3137b9785178facb6d71086d9c34bd20986",
+    "two-row":
+        "5c53fc829cbe6d72bb1dd744b407296270ad86984d4af48016eaf482190c0d1a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_WIDE))
+def test_device_wide_trace_golden(params, pulse, cached_crs_pulse,
+                                  monkeypatch, name):
+    monkeypatch.setattr(executor, "crs_pulse", cached_crs_pulse)
+    if name == "two-row":
+        prog = _two_row_program()
+        traces = [_device_equals_behavioral(prog, [a], [b], pulse, params,
+                                            (a, b))
+                  for a in (0, 1) for b in (0, 1)]
+    else:
+        scheme, op = name.split("-")
+        prog = microcode.GENERATORS[scheme](16, subtract=op == "sub")
+        traces = [run_device(prog, *_wide_operands("random", 16), 0,
+                             pp=pulse, ep=params)]
+    h = hashlib.sha256()
+    for tr in traces:
+        h.update(repr(tr).encode())
+    assert h.hexdigest() == GOLDEN_WIDE[name]
+
+
+@pytest.mark.parametrize("gen", (gen_pc_adder, gen_tc_adder))
+def test_device_decodes_only_moved_cells(params, pulse, cached_crs_pulse,
+                                         monkeypatch, gen):
+    """A device run decodes a cell's state after a step that pulsed it
+    and at each result read, never the cells a step left alone: at most
+    the distinct cells pulsed in each step, summed, plus the result
+    reads."""
+    prog = gen(16)
+    a, b = _wide_operands("random", 16)
+    rec = _RecordingCells(prog)
+    executor._interpret(prog, a, b, 0, rec)
+    calls = []
+
+    def counted(xs, gap_threshold):
+        calls.append(xs)
+        return decode_state(xs, gap_threshold)
+
+    monkeypatch.setattr(executor, "crs_pulse", cached_crs_pulse)
+    monkeypatch.setattr(executor, "decode_state", counted)
+    run_device(prog, a, b, 0, pp=pulse, ep=params)
+    pulsed = sum(len(keys) for keys in rec.pulsed.values())
+    assert 0 < len(calls) <= pulsed + len(prog.result_cells)
+
+
+@pytest.mark.parametrize("wl,bl", [(GROUND, CONST0), (CONST0, CONST1),
+                                   (CONST1, CONST1)],
+                         ids=["ground-wordline", "write-zero", "hold"])
+def test_read_must_be_driven_as_write_one(params, pulse, wl, bl):
+    """A read judges the spike of its cell's write-ONE pulse.  Under any
+    other drive the behavioral level would give the stored bit and the
+    device level a cell that no pulse reached, so validation rejects
+    the program and both levels raise."""
+    cells = (CellAddr(0, 0, 0), CellAddr(0, 0, 1))
+    prog = Program("hand", 1, False, (
+        _one_row_step(0, "carry", CONST1, (CONST0, CONST0)),
+        _one_row_step(0, "carry", CONST0, (CONST1, CONST1)),
+        _one_row_step(0, "read", wl, (bl, CONST0),
+                      (ReadDirective(cells[0]),))), cells, cells)
+    assert [d for d in validate_program(prog) if "read of A0/0/0" in d]
+    with pytest.raises(ExecutionError, match="write-ONE"):
+        run_behavioral(prog, [0], [0], 0)
+    with pytest.raises(ExecutionError, match="write-ONE"):
+        run_device(prog, [0], [0], 0, pp=pulse, ep=params)
 
 
 def test_trace_files_roundtrip(tmp_path, device_matrix):

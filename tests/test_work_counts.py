@@ -21,9 +21,10 @@ def test_two_invocations_print_identical_counts():
     assert first == counts_table()
     lines = first.splitlines()
     assert lines[0].split() == ["section", "evaluate_branch", "solve_cell_dc",
-                                "solve_crs_divider", "crs_pulse"]
+                                "solve_crs_divider", "crs_pulse",
+                                "decode_state"]
     (runs,) = [line for line in lines if line.startswith("runs (1)")]
-    assert all(int(n) > 0 for n in runs.split()[-4:])
+    assert all(int(n) > 0 for n in runs.split()[-5:])
     # one march per canonical start and voltage: every pulse of a run
     # starts on a rail at +-V_w, and ONE at -v is ZERO at +v mirrored
-    assert int(runs.split()[-1]) <= 2
+    assert int(runs.split()[-2]) <= 2
