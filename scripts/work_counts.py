@@ -15,7 +15,9 @@ sections:
     characterize   one default-cell characterize pass: calibrate_pulse,
                    sweep_iv_crs and sweep_iv_unit at their defaults
 
-The last line sums calibrate and runs.
+The last line sums calibrate and runs.  A device run holds each cell as
+the rail it sits on and decodes no gaps, so the runs and wide rows read
+0 in decode_state; calibration decodes while it searches for the flip.
 
 The counts do not depend on the machine, so two invocations print the
 same table.  Run from the root of the repository:

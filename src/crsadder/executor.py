@@ -7,24 +7,26 @@ Behavioral backend: every cell is a one-bit state machine updated by
 fsm_next with the step's resolved logic levels; reads return the stored
 bit and leave the cell at ONE.
 
-Device backend: every cell is a pair of ECM gaps.  Each step becomes
-one rectangular pulse of width t_pulse; driven levels map to potentials
-('1' -> +V_w/2, '0' -> -V_w/2) so intended writes see the full +-V_w
-and holds see 0.  A ground line is undriven and floats: a cell on it
-carries no current, so no step half-selects a cell (calibration still
-checks that V_w/2 is harmless).  Reads are destructive current-spike
-detections against the i_spike threshold.  A read-and-forward step
-splits its window: the read occupies the first half, the forwarded
-value drives the target bitline during the second half (the
-calibration margin makes half a window sufficient to switch).
+Device backend: every cell is a pair of ECM gaps on one of two rails,
+ZERO = (x_min, l) or ONE = (l, x_min), and its state is that rail's
+label.  Each step becomes one rectangular pulse of width t_pulse;
+driven levels map to potentials ('1' -> +V_w/2, '0' -> -V_w/2) so
+intended writes see the full +-V_w and holds see 0.  A ground line is
+undriven and floats: a cell on it carries no current, so no step
+half-selects a cell (calibration still checks that V_w/2 is harmless).
+Reads are destructive current-spike detections against the i_spike
+threshold.  A read-and-forward step splits its window: the read
+occupies the first half, the forwarded value drives the target bitline
+during the second half (the calibration margin makes half a window
+sufficient to switch).  A pulse that does not end exactly on the rail
+its wordline level writes raises ExecutionError.
 
 Wires are ideal: line potentials reach every cell unattenuated, so cells
 decouple and each advances independently under its own applied voltage.
-A pulse is therefore a pure function of its inputs (the two gaps, the
-voltage, the width, the sample count and the cell parameters), and a
-device run makes one march per canonical start and voltage: a half
-window is the full window's first half, and a start with x_top >
-x_bottom is its mirror at the opposite voltage (crs_pulse's identities).
+A pulse is therefore a pure function of its start rail, voltage, width,
+sample count and cell parameters, and a device run makes one march from
+ZERO per voltage: a half window is the full window's first half, and
+ONE at v is ZERO at -v mirrored (crs_pulse's identities).
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ class StepRecord(NamedTuple):
     annotation: str
     wl_levels: dict               # "A<array>" -> level
     bl_levels: dict               # "A<array>/<bl>" -> level
-    cell_states: dict             # addr str -> 0/1, device "0"/"1"/"on"
+    cell_states: dict             # addr str -> 0/1, device "0"/"1"
 
 
 class ExecTrace(NamedTuple):
@@ -208,12 +210,12 @@ class _BitCells:
 class _PairCells:
     """Device backend: ECM pairs advanced by crs_pulse, currents sampled.
 
-    Every used cell starts at ZERO (the init read makes the outcome
-    independent of prior content).  Pulses follow one another without
-    gaps, and waveform samples cover each pulse window.  The pulse table
-    holds one march per canonical start and voltage of this run.  Rows
-    start from the step's wordline voltages and a zero per bitline, then
-    add each pulsed cell's current; only pulsed or read cells re-decode.
+    A cell's state is its rail, "0" or "1", and every used cell starts at
+    ZERO (the init read makes the outcome independent of prior content).
+    Pulses follow one another without gaps, and waveform samples cover
+    each pulse window.  The pulse table holds one march from ZERO per
+    voltage of this run.  Rows start from the step's wordline voltages
+    and a zero per bitline, then add each pulsed cell's current.
     """
 
     def __init__(self, p, pp, ep):
@@ -222,9 +224,8 @@ class _PairCells:
                              f"{SAMPLES_PER_PULSE!r}")
         self.pp, self.ep = pp, ep
         self.pulses = {}
-        self.states = {str(c): crs_state_for_bit(0, ep) for c in p.used_cells}
-        # peak |j| of each cell pulsed or read since the last snapshot
-        self.decoded, self.peaks = dict.fromkeys(self.states, "0"), {}
+        self.rails = crs_state_for_bit(0, ep), crs_state_for_bit(1, ep)
+        self.state = {str(c): "0" for c in p.used_cells}
         self.wl_keys = sorted({(c.array, c.wl) for c in p.used_cells})
         bls = sorted({(c.array, c.bl) for c in p.used_cells})
         col = {bl: k for k, bl in enumerate(bls, 3 + len(self.wl_keys))}
@@ -240,23 +241,27 @@ class _PairCells:
             return 0.0
         return 0.5 * self.pp.v_w if level == 1 else -0.5 * self.pp.v_w
 
-    def _pulse(self, xs, v, n):
-        """(gaps after, peak |j|, j per sample) of the first n samples of a
-        full-window pulse: crs_pulse(xs, v, t_pulse, ep, n_samples=n) for
-        n = SAMPLES_PER_PULSE, and its half window for half of that.  All
-        are read from one full-window march per canonical start: xs, or
-        for x_top > x_bottom its mirror at -v with the cells swapped."""
-        flip = xs[0] > xs[1]
-        key = (xs[::-1], -v) if flip else (xs, v)
-        rows = self.pulses.get(key)
+    def _pulse(self, key, v, n):
+        """(peak |j|, j per sample) of the first n samples of crs_pulse from
+        cell key's rail at v (SAMPLES_PER_PULSE a full window, half that a
+        half window), read from the march from ZERO at v, or at -v
+        mirrored; raises ExecutionError unless it ends on the rail v writes."""
+        flip = self.state[key] == "1"
+        u = -v if flip else v
+        rows = self.pulses.get(u)
         if rows is None:
-            rows = self.pulses[key] = crs_pulse(
-                *key, self.pp.t_pulse, self.ep,
+            rows = self.pulses[u] = crs_pulse(
+                self.rails[0], u, self.pp.t_pulse, self.ep,
                 n_samples=SAMPLES_PER_PULSE)[2]
-        col = 2 if flip else 3   # the current of the request's bottom cell
         last = rows[n - 1]
-        return ((last[5], last[4]) if flip else last[4:6], last[col + 4],
-                [row[col] for row in rows[:n]])
+        if last[4:6] != self.rails[u > 0]:   # ONE at v mirrors ZERO at -v
+            x_top, x_bot = (last[5], last[4]) if flip else last[4:6]
+            raise ExecutionError(
+                f"cell {key} missed its rail: the {v:+.6g} V pulse ended at "
+                f"x_top={x_top:.6e} m, x_bottom={x_bot:.6e} m")
+        self.state[key] = "1" if v > 0 else "0"
+        col = 2 if flip else 3   # the current of the cell's bottom ECM
+        return last[col + 4], [row[col] for row in rows[:n]]
 
     def _verdict(self, peak):
         spike = peak > self.pp.i_spike
@@ -271,10 +276,10 @@ class _PairCells:
             dur, n = 0.5 * pp.t_pulse, SAMPLES_PER_PULSE // 2
             if half:
                 t0 += dur
-        waves = []
+        waves, peaks = [], {}
         for key, w, b in pairs:
-            self.states[key], self.peaks[key], wave = self._pulse(
-                self.states[key], self._volts(w) - self._volts(b), n)
+            peaks[key], wave = self._pulse(
+                key, self._volts(w) - self._volts(b), n)
             waves.append((self.column[key], wave))
         head = [self._volts(wls.get(k, "ground")) for k in self.wl_keys]
         for j in range(n):
@@ -284,24 +289,16 @@ class _PairCells:
             self.samples.append(tuple(row))
         if half != 0:
             self.t += pp.t_pulse
-        return [self._verdict(self.peaks[key]) for key in reads]
+        return [self._verdict(peaks[key]) for key in reads]
 
     def read(self, key):
         """Destructive read: a full write-ONE pulse that spikes iff the
         cell held ZERO; returns (bit, spike, peak)."""
-        pp = self.pp
-        xs, peak, _ = self._pulse(self.states[key], pp.v_w, SAMPLES_PER_PULSE)
-        if decode_state(xs, self.ep.gap_midpoint()) is not CrsLogicState.ONE:
-            raise ExecutionError("read did not leave the cell at ONE")
-        self.states[key], self.peaks[key] = xs, peak
-        return self._verdict(peak)
+        return self._verdict(self._pulse(key, self.pp.v_w,
+                                         SAMPLES_PER_PULSE)[0])
 
     def snapshot(self):
-        mid = self.ep.gap_midpoint()
-        for key in self.peaks:
-            self.decoded[key] = str(decode_state(self.states[key], mid))
-        self.peaks.clear()
-        return dict(self.decoded)
+        return dict(self.state)
 
 
 def run_behavioral(p, a_bits, b_bits, c0=0):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import oracles
 from crsadder import executor, microcode
 from crsadder.crs import (
-    CrsLogicState,
     crs_pulse,
     crs_state_for_bit,
     decode_state,
@@ -209,22 +208,18 @@ def test_readout_behavioral_cases():
 
 def test_readout_device_cases(params, pulse):
     cells, key = _one_cell(_PairCells, pulse, params)
-    cells.states[key] = crs_state_for_bit(0, params)
+    cells.state[key] = "0"
     bit0, spike0, _ = cells.read(key)
-    assert (bit0, spike0) == (0, True)
-    assert decode_state(cells.states[key], params.gap_midpoint()) \
-        is CrsLogicState.ONE
+    assert (bit0, spike0, cells.state[key]) == (0, True, "1")
 
-    cells.states[key] = crs_state_for_bit(1, params)
+    cells.state[key] = "1"
     bit1, spike1, _ = cells.read(key)
-    assert (bit1, spike1) == (1, False)
-    assert decode_state(cells.states[key], params.gap_midpoint()) \
-        is CrsLogicState.ONE
+    assert (bit1, spike1, cells.state[key]) == (1, False, "1")
 
 
 def test_readout_twice_always_one(params, pulse):
     cells, key = _one_cell(_PairCells, pulse, params)
-    cells.states[key] = crs_state_for_bit(0, params)
+    cells.state[key] = "0"
     cells.read(key)
     bit, spike, _ = cells.read(key)
     assert (bit, spike) == (1, False)
@@ -470,20 +465,25 @@ KINDS = [(gen, subtract) for gen in (gen_pc_adder, gen_tc_adder)
 
 
 def test_pulse_table_is_exact(params, pulse, cached_crs_pulse, monkeypatch):
-    """A device run calls crs_pulse at most once per canonical start and
-    voltage, and its trace equals the one that calls crs_pulse for every
-    pulse, and the one on pulses memoized across runs, as the shared
-    fixtures use them."""
+    """A device run calls crs_pulse at most once per voltage, always from
+    ZERO over the full window, and its trace equals the one that calls
+    crs_pulse from the cell's rail for every pulse at that pulse's own
+    width and sample count, and the one on pulses memoized across runs,
+    as the shared fixtures use them."""
     calls = []
+    rails = [crs_state_for_bit(0, params), crs_state_for_bit(1, params)]
 
     def counted(s, v, dur, ep, n_samples):
         calls.append((s, v, dur, ep, n_samples))
         return crs_pulse(s, v, dur, ep, n_samples=n_samples)
 
-    def uncached(self, s, v, n):
+    def uncached(self, key, v, n):
         dur = self.pp.t_pulse * (1.0 if n == SAMPLES_PER_PULSE else 0.5)
-        xs, peak, rows = executor.crs_pulse(s, v, dur, self.ep, n_samples=n)
-        return xs, peak, [row[3] for row in rows]
+        start = crs_state_for_bit(int(self.state[key]), self.ep)
+        xs, peak, rows = executor.crs_pulse(start, v, dur, self.ep,
+                                            n_samples=n)
+        self.state[key] = str(rails.index(xs))
+        return peak, [row[3] for row in rows]
 
     def canonical(s, v):
         return (s[::-1], -v) if s[0] > s[1] else (s, v)
@@ -495,8 +495,8 @@ def test_pulse_table_is_exact(params, pulse, cached_crs_pulse, monkeypatch):
         calls.clear()
         tabled = run_device(prog, a, b, 0, pp=pulse, ep=params)
         starts = [(s, v) for s, v, *_ in calls]
-        assert len(set(starts)) == len(starts)
-        assert all(canonical(s, v) == (s, v) for s, v in starts)
+        assert len({v for _, v in starts}) == len(starts)
+        assert all(s == rails[0] for s, _ in starts)
         assert {c[2:] for c in calls} == {
             (pulse.t_pulse, params, SAMPLES_PER_PULSE)}
         with monkeypatch.context() as mp:
@@ -507,6 +507,38 @@ def test_pulse_table_is_exact(params, pulse, cached_crs_pulse, monkeypatch):
             assert len(calls) > len(starts)
         monkeypatch.setattr(executor, "crs_pulse", cached_crs_pulse)
         assert run_device(prog, a, b, 0, pp=pulse, ep=params) == tabled
+
+
+def test_pulse_missing_its_rail_raises(pulse):
+    """At 330 K the 300 K pulse leaves pc n=2 cells off their rail: the
+    run raises rather than return wrong bits (0 + 1 gave (0, 0, 0)).
+    All 32 tc n=2 runs on that cell and pulse stay right."""
+    warm = EcmParams(t=330.0)
+    with pytest.raises(ExecutionError, match="rail"):
+        run_device(gen_pc_adder(2), [0, 0], [1, 0], 0, pp=pulse, ep=warm)
+    for subtract in (False, True):
+        prog = gen_tc_adder(2, subtract=subtract)
+        for av in range(4):
+            for bv in range(4):
+                a, b = bits(av, 2), bits(bv, 2)
+                want = oracles.sub_oracle(a, b) if subtract \
+                    else oracles.add_oracle(a, b, 0)
+                got = run_device(prog, a, b, 0, pp=pulse, ep=warm)
+                assert list(got.result_bits) == want, (subtract, av, bv)
+
+
+def test_short_full_window_raises_at_first_write(params, pulse):
+    """At a tenth of t_pulse the first write, init_read's write-ONE of
+    A0/0/0 over a full window, stops short of ONE: the error names that
+    cell, its voltage and the gaps where the full-window pulse ends."""
+    short = dataclasses.replace(pulse, t_pulse=pulse.t_pulse / 10)
+    xs = crs_pulse(crs_state_for_bit(0, params), short.v_w, short.t_pulse,
+                   params, n_samples=SAMPLES_PER_PULSE)[0]
+    assert xs != crs_state_for_bit(1, params)
+    want = (f"cell A0/0/0 missed its rail: the {short.v_w:+.6g} V pulse "
+            f"ended at x_top={xs[0]:.6e} m, x_bottom={xs[1]:.6e} m")
+    with pytest.raises(ExecutionError, match=re.escape(want) + "$"):
+        run_device(gen_pc_adder(2), [1, 0], [1, 0], 0, pp=short, ep=params)
 
 
 def _mirror(row):
@@ -625,17 +657,14 @@ def test_device_equals_behavioral_half_select_cases(
 
 
 class _RecordingCells(_BitCells):
-    """Behavioral backend that keeps every (cell, wl, bl) it is handed,
-    and the keys of the cells pulsed in each step."""
+    """Behavioral backend that keeps every (cell, wl, bl) it is handed."""
 
     def __init__(self, p):
         super().__init__(p)
         self.pairs = []
-        self.pulsed = {}
 
     def step(self, si, annotation, wls, pairs, reads, half):
         self.pairs += pairs
-        self.pulsed.setdefault(si, set()).update(key for key, *_ in pairs)
         return super().step(si, annotation, wls, pairs, reads, half)
 
 
@@ -742,14 +771,10 @@ def test_device_wide_trace_golden(params, pulse, cached_crs_pulse,
 @pytest.mark.parametrize("gen", (gen_pc_adder, gen_tc_adder))
 def test_device_decodes_only_moved_cells(params, pulse, cached_crs_pulse,
                                          monkeypatch, gen):
-    """A device run decodes a cell's state after a step that pulsed it
-    and at each result read, never the cells a step left alone: at most
-    the distinct cells pulsed in each step, summed, plus the result
-    reads."""
+    """A device cell's state is the rail its last pulse wrote, so a run
+    decodes no gaps at all."""
     prog = gen(16)
     a, b = _wide_operands("random", 16)
-    rec = _RecordingCells(prog)
-    executor._interpret(prog, a, b, 0, rec)
     calls = []
 
     def counted(xs, gap_threshold):
@@ -758,9 +783,9 @@ def test_device_decodes_only_moved_cells(params, pulse, cached_crs_pulse,
 
     monkeypatch.setattr(executor, "crs_pulse", cached_crs_pulse)
     monkeypatch.setattr(executor, "decode_state", counted)
-    run_device(prog, a, b, 0, pp=pulse, ep=params)
-    pulsed = sum(len(keys) for keys in rec.pulsed.values())
-    assert 0 < len(calls) <= pulsed + len(prog.result_cells)
+    tr = run_device(prog, a, b, 0, pp=pulse, ep=params)
+    assert tr.result_bits == run_behavioral(prog, a, b, 0).result_bits
+    assert calls == []
 
 
 @pytest.mark.parametrize("wl,bl", [(GROUND, CONST0), (CONST0, CONST1),

@@ -24,7 +24,10 @@ def test_two_invocations_print_identical_counts():
                                 "solve_crs_divider", "crs_pulse",
                                 "decode_state"]
     (runs,) = [line for line in lines if line.startswith("runs (1)")]
-    assert all(int(n) > 0 for n in runs.split()[-5:])
-    # one march per canonical start and voltage: every pulse of a run
-    # starts on a rail at +-V_w, and ONE at -v is ZERO at +v mirrored
-    assert int(runs.split()[-2]) <= 2
+    *solver, pulses, decodes = (int(n) for n in runs.split()[-5:])
+    assert all(n > 0 for n in (*solver, pulses))
+    # one march from ZERO per voltage: every pulse of a run starts on a
+    # rail at +-V_w, and ONE at -v is ZERO at +v mirrored
+    assert pulses <= 2
+    # a device cell's state is the rail its last pulse wrote
+    assert decodes == 0
