@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Deterministic call counts of the device level's solver layers and decodes.
+"""Deterministic call counts of the device level's solver layers and state
+reads.
 
 Rebinds ecm.evaluate_branch, ecm.solve_cell_dc, crs.solve_crs_divider,
-crs.crs_pulse and crs.decode_state to counting wrappers in every package
+crs.crs_pulse and crs.classify to counting wrappers in every package
 module that holds them (crs and executor import some of them by name),
 from outside the source, and prints the calls each layer makes in four
 sections:
@@ -16,8 +17,10 @@ sections:
                    sweep_iv_crs and sweep_iv_unit at their defaults
 
 The last line sums calibrate and runs.  A device run holds each cell as
-the rail it sits on and decodes no gaps, so the runs and wide rows read
-0 in decode_state; calibration decodes while it searches for the flip.
+the rail it sits on and classifies no gaps, so the runs and wide rows
+read 0 in classify; calibration classifies while it searches for the
+flip and after its half-select marches, and characterize also counts
+the CRS sweep's label of every row.
 
 The counts do not depend on the machine, so two invocations print the
 same table.  Run from the root of the repository:
@@ -36,7 +39,7 @@ from crsadder import crs, ecm, executor, microcode
 
 LAYERS = (("ecm", "evaluate_branch"), ("ecm", "solve_cell_dc"),
           ("crs", "solve_crs_divider"), ("crs", "crs_pulse"),
-          ("crs", "decode_state"))
+          ("crs", "classify"))
 MODULES = (ecm, crs, executor)
 
 

@@ -23,7 +23,6 @@ import sys
 from . import ecm
 from .crs import (
     DEFAULT_CRS_AMPLITUDE,
-    IndeterminateStateError,
     ThresholdExtractionError,
     crs_state_for_bit,
     sweep_iv_crs,
@@ -306,7 +305,7 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ConvergenceError, CalibrationError, ExecutionError,
-            IndeterminateStateError, ThresholdExtractionError) as e:
+            ThresholdExtractionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

@@ -26,7 +26,6 @@ i.e. wl=1,bl=0 writes ONE; wl=0,bl=1 writes ZERO; equal levels hold.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -42,21 +41,8 @@ from .ecm import (
 )
 
 
-class IndeterminateStateError(RuntimeError):
-    """Both cells high-ohmic: the pair holds no valid logic value."""
-
-
 class ThresholdExtractionError(RuntimeError):
     """Sweep amplitude did not exercise all four switching thresholds."""
-
-
-class CrsLogicState(enum.Enum):
-    ZERO = "0"
-    ONE = "1"
-    ON = "on"
-
-    def __str__(self):
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -92,26 +78,17 @@ def crs_state_for_bit(bit, p):
 
 
 def classify(x_top, x_bot, gap_threshold):
-    """Logic state of a gap pair, or None when both cells are high-ohmic."""
+    """Logic state of a gap pair, "0", "1" or "on", or None when both
+    cells are high-ohmic; a cell is low-ohmic iff x < gap_threshold."""
     top_low = x_top < gap_threshold
     bot_low = x_bot < gap_threshold
     if top_low and not bot_low:
-        return CrsLogicState.ZERO
+        return "0"
     if bot_low and not top_low:
-        return CrsLogicState.ONE
+        return "1"
     if top_low and bot_low:
-        return CrsLogicState.ON
+        return "on"
     return None
-
-
-def decode_state(xs, gap_threshold):
-    """Logic state of gaps xs; a cell is low-ohmic iff x < gap_threshold."""
-    state = classify(*xs, gap_threshold)
-    if state is None:
-        raise IndeterminateStateError(
-            f"both cells high-ohmic (x_top={xs[0]:.3e}, "
-            f"x_bottom={xs[1]:.3e})")
-    return state
 
 
 # ======================================================================
@@ -293,7 +270,7 @@ def sweep_iv_crs(amplitude, rate, s0, p, n_samples=1200, frac=0.5):
     rows = _triangle_sweep(amplitude, rate, s0, n_samples, _PairSolve,
                            CRS_MOTION_LIMIT, p)
     mid = p.gap_midpoint()
-    rows = [(*r, str(classify(*r[2:], mid) or "indeterminate")) for r in rows]
+    rows = [(*r, classify(*r[2:], mid) or "indeterminate") for r in rows]
     th = _extract_thresholds(rows, frac)
     missing = [name for name in ("v_th1", "v_th2", "v_th3", "v_th4")
                if getattr(th, name) is None]

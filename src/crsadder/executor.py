@@ -17,9 +17,10 @@ half-selects a cell (calibration still checks that V_w/2 is harmless).
 Reads are destructive current-spike detections against the i_spike
 threshold.  A read-and-forward step splits its window: the read
 occupies the first half, the forwarded value drives the target bitline
-during the second half (the calibration margin makes half a window
-sufficient to switch).  A pulse that does not end exactly on the rail
-its wordline level writes raises ExecutionError.
+during the second half.  Calibration accepts a pulse only if the
+run's two marches end on their rails after both windows, and a pulse
+of a run that does not end exactly on the rail its wordline level
+writes still raises ExecutionError.
 
 Wires are ideal: line potentials reach every cell unattenuated, so cells
 decouple and each advances independently under its own applied voltage.
@@ -39,11 +40,10 @@ from typing import NamedTuple
 
 from .crs import (
     CRS_MOTION_LIMIT,
-    CrsLogicState,
     _PairSolve,
+    classify,
     crs_pulse,
     crs_state_for_bit,
-    decode_state,
     fsm_next,
 )
 from .ecm import march, params_text
@@ -55,7 +55,9 @@ class ExecutionError(RuntimeError):
 
 
 class CalibrationError(RuntimeError):
-    """No pulse parameters satisfied the select/half-select constraints."""
+    """No amplitude tried gave a pulse that switches, closes on its rails,
+    leaves half select harmless and separates the read peaks; report
+    holds every attempt."""
 
     def __init__(self, message, report):
         super().__init__(message + "\n" + json.dumps(report, indent=2,
@@ -320,7 +322,7 @@ def run_device(p, a_bits, b_bits, c0=0, *, pp, ep):
 # ======================================================================
 
 def time_to_flip(v_apply, ep, t_limit=10.0):
-    """Time for a ZERO pair to decode as ONE under constant v_apply, on a
+    """Time for a ZERO pair to classify as ONE under constant v_apply, on a
     geometric grid of intervals marched with one divider solve."""
     xs, solve = crs_state_for_bit(0, ep), _PairSolve(v_apply, ep)
     mid = ep.gap_midpoint()
@@ -329,54 +331,61 @@ def time_to_flip(v_apply, ep, t_limit=10.0):
     while t < t_limit:
         xs = march(xs, solve, dt, ep, CRS_MOTION_LIMIT)
         t += dt
-        if decode_state(xs, mid) is CrsLogicState.ONE:
+        if classify(*xs, mid) == "1":
             return t
         dt = min(dt * 1.25, t_limit / 50.0)
     return math.inf
 
 
 def _half_select_drift(v_half, t_pulse, ep):
-    """Worst-case decoded-state check and gap drift under half select."""
-    span = ep.l - ep.x_min
-    worst = 0.0
-    ok = True
-    mid = ep.gap_midpoint()
-    for bit in (0, 1):
-        for sign in (+1.0, -1.0):
-            s0 = crs_state_for_bit(bit, ep)
-            s1, _, _ = crs_pulse(s0, sign * v_half, t_pulse, ep, n_samples=4)
-            drift = max(abs(a - b) for a, b in zip(s1, s0))
-            worst = max(worst, drift / span)
-            if decode_state(s1, mid) != decode_state(s0, mid):
-                ok = False
-    return ok, worst
+    """(ZERO and ONE keep their state, worst gap drift as a fraction of
+    the span) under +-v_half over t_pulse; ONE at v is ZERO at -v
+    mirrored, so the two marches from ZERO cover both rails."""
+    zero, mid = crs_state_for_bit(0, ep), ep.gap_midpoint()
+    ends = [crs_pulse(zero, v, t_pulse, ep, n_samples=4)[0]
+            for v in (v_half, -v_half)]
+    drift = max(abs(a - b) for xs in ends for a, b in zip(xs, zero))
+    return (all(classify(*xs, mid) == "0" for xs in ends),
+            drift / (ep.l - ep.x_min))
 
 
 def calibrate_pulse(ep, target_margin=100.0, v_seed=2.6):
-    """Find (v_w, t_pulse, i_spike) satisfying the half-select contract.
+    """Find (v_w, t_pulse, i_spike) satisfying the calibration contract.
 
-    t_pulse is set to 2.5x the measured full-select switching time, so a
-    half window (the read-and-forward case) still carries 1.25x margin.
-    Requirements checked before accepting a candidate amplitude:
-      * full select flips ZERO to ONE within t_pulse,
-      * half select leaves decoded states unchanged and moves no gap by
+    Amplitudes are tried from v_seed up in five steps of 0.2 V, then down
+    from it in five more, skipping any <= 0; the first that passes is
+    returned.  t_pulse is 2.5x the measured full-select switching time.
+    A candidate passes when:
+      * full select flips ZERO to ONE within the time_to_flip limit,
+      * half select leaves ZERO and ONE in place and moves no gap by
         more than span/target_margin,
-      * the spike/no-spike read peaks are separated by target_margin^2
-        so the geometric-mean threshold keeps target_margin both ways.
+      * the two marches a device run takes, ZERO at +v_w and at -v_w
+        over a full window of SAMPLES_PER_PULSE samples, end on the
+        rail their voltage writes after the full window and after its
+        first half; ONE at v is ZERO at -v mirrored, so this closes all
+        8 rail pulses of a run (misses go in rail_misses),
+      * their read peaks, ZERO at +v_w (spike) and ONE at +v_w (quiet,
+        the -v_w march's top cell), are separated by target_margin^2 so
+        the geometric-mean threshold keeps target_margin both ways.
+    Every try is in the attempts report of the CalibrationError raised
+    when none passes.
     """
     if not 1.0 < target_margin < math.inf:
         raise ValueError(f"target_margin must be finite and exceed 1, "
                          f"got {target_margin!r}")
     if not 0.0 < v_seed < math.inf:
         raise ValueError(f"v_seed must be finite and > 0, got {v_seed!r}")
+    up, down = [v_seed], [v_seed]
+    for _ in range(5):
+        up.append(up[-1] + 0.2)   # steeper kinetics: shorter pulse, less drift
+        down.append(down[-1] - 0.2)
+    rails = crs_state_for_bit(0, ep), crs_state_for_bit(1, ep)
     attempts = []
-    v_w = v_seed
-    for _ in range(6):
+    for v_w in up + [v for v in down[1:] if v > 0]:
         t_full = time_to_flip(v_w, ep)
         report = {"v_w": v_w, "t_full_s": t_full}
         attempts.append(report)
         if math.isinf(t_full):
-            v_w += 0.2
             continue
         t_pulse = 2.5 * t_full
         ok, drift = _half_select_drift(0.5 * v_w, t_pulse, ep)
@@ -384,23 +393,29 @@ def calibrate_pulse(ep, target_margin=100.0, v_seed=2.6):
         report["half_select_drift_frac"] = drift
         report["half_select_holds"] = ok
         if not ok or drift > 1.0 / target_margin:
-            v_w += 0.2   # steeper kinetics: shorter pulse, less drift
             continue
-        _, peak_spike, _ = crs_pulse(crs_state_for_bit(0, ep), v_w,
-                                     t_pulse, ep, n_samples=8)
-        _, peak_quiet, _ = crs_pulse(crs_state_for_bit(1, ep), v_w,
-                                     t_pulse, ep, n_samples=8)
+        plus, minus = (crs_pulse(rails[0], v, t_pulse, ep,
+                                 n_samples=SAMPLES_PER_PULSE)[2]
+                       for v in (v_w, -v_w))
+        report["rail_misses"] = misses = [
+            f"ZERO at {v:+.6g} V, {window} window"
+            for v, rows in ((v_w, plus), (-v_w, minus))
+            for window, n in (("full", SAMPLES_PER_PULSE),
+                              ("half", SAMPLES_PER_PULSE // 2))
+            if rows[n - 1][4:6] != rails[v > 0]]
+        peak_spike, peak_quiet = plus[-1][7], minus[-1][6]
         report["peak_spike_a"] = peak_spike
         report["peak_quiet_a"] = peak_quiet
-        if peak_quiet <= 0 or peak_spike / peak_quiet < target_margin ** 2:
-            v_w += 0.2
+        if misses or peak_quiet <= 0 \
+                or peak_spike / peak_quiet < target_margin ** 2:
             continue
         i_spike = math.sqrt(peak_spike * peak_quiet)
         report["i_spike_a"] = i_spike
         return PulseParams(v_w=v_w, t_pulse=t_pulse, i_spike=i_spike)
+    tried = [a["v_w"] for a in attempts]
     raise CalibrationError(
-        f"no amplitude in [{v_seed}, {attempts[-1]['v_w']:.6g}] V satisfied "
-        f"the half-select contract at margin {target_margin}",
+        f"no amplitude in [{min(tried):.6g}, {max(tried):.6g}] V satisfied "
+        f"the calibration contract at margin {target_margin}",
         {"attempts": attempts})
 
 
@@ -431,7 +446,7 @@ def write_trace_csv(trace, path):
 
 
 def write_states_csv(trace, path):
-    """Per-step cell states (behavioral bits or decoded device states)."""
+    """Per-step cell states (behavioral bits or device rail labels)."""
     cells = sorted(trace.steps[0].cell_states) if trace.steps else []
     write_csv(path, ["step_index", "annotation", *cells],
               ([rec.index, rec.annotation, *(rec.cell_states[c] for c in cells)]

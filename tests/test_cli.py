@@ -325,6 +325,14 @@ def test_bad_v_seed_is_usage_error(tmp_path, capsys, command, seed):
     assert list(tmp_path.glob("calibration-*.json")) == []
 
 
+def test_high_v_seed_failure_names_amplitudes_around_it(tmp_path, capsys):
+    rc = run_cli("--out", str(tmp_path), "calibrate", "--v-seed", "50")
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: no amplitude in [49, 51] V")
+    assert list(tmp_path.glob("calibration-*.json")) == []
+
+
 @pytest.mark.parametrize("command", [
     ("calibrate", "--v-seed", "1e6"),
     ("sweep", "--device", "unit", "--amplitude", "1e6", "--samples", "10"),

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 import oracles
 from crsadder import executor, microcode
 from crsadder.crs import (
+    classify,
     crs_pulse,
     crs_state_for_bit,
-    decode_state,
 )
 from crsadder.ecm import EcmParams
 from crsadder.executor import (
@@ -310,7 +310,7 @@ def test_calibration_postconditions(params, pulse):
             s0 = crs_state_for_bit(bit, params)
             s1, _, _ = crs_pulse(s0, sign * pulse.v_w / 2, pulse.t_pulse,
                                  params, n_samples=20)
-            assert str(decode_state(s1, params.gap_midpoint())) == str(bit)
+            assert classify(*s1, params.gap_midpoint()) == str(bit)
             drift = max(abs(a - b) for a, b in zip(s1, s0))
             assert drift < span / 100.0
 
@@ -338,16 +338,46 @@ def test_higher_amplitude_switches_faster(params):
 
 def test_calibration_failure_reports_attempts():
     # an exchange current this small never completes a full-select
-    # switch inside the search bounds, so every amplitude attempt fails
+    # switch inside the search bounds, so every amplitude attempt fails:
+    # six from the seed up, then five down
     bad = EcmParams(j0=1e-28)
     with pytest.raises(CalibrationError) as exc_info:
         calibrate_pulse(bad, target_margin=1e6)
     attempts = exc_info.value.report["attempts"]
-    assert len(attempts) == 6
+    assert len(attempts) == 11
     assert all(a["t_full_s"] == float("inf") for a in attempts)
-    # the message names the amplitudes actually tried
+    # the message names the lowest and highest amplitude tried
+    tried = [a["v_w"] for a in attempts]
     bounds = re.search(r"in \[(.*), (.*)\] V", str(exc_info.value)).groups()
-    assert bounds == ("2.6", f"{attempts[-1]['v_w']:.6g}")
+    assert bounds == (f"{min(tried):.6g}", f"{max(tried):.6g}") \
+        == ("1.6", "3.6")
+
+
+def test_calibration_searches_below_a_high_seed(params):
+    """Every amplitude from 5.0 V up fails, so the search turns down
+    from the seed and calibrates at 4.4 V."""
+    pp = calibrate_pulse(params, v_seed=5.0)
+    assert pp.v_w == pytest.approx(4.4)
+
+
+def test_calibration_rejects_a_half_window_off_its_rail(params, monkeypatch):
+    """At 0.3x the flip time the +V_w half window from ZERO stops short of
+    ONE: a run on that pulse raises at a read-and-forward step, so every
+    attempt records the miss and calibration fails."""
+    short = calibrate_pulse(params)
+    short = dataclasses.replace(short, t_pulse=0.3 * short.t_pulse)
+    with pytest.raises(ExecutionError, match=r"cell A1/0/0 missed its rail: "
+                                             r"the \+2\.6 V pulse"):
+        run_device(gen_pc_adder(2), [0, 0], [1, 0], 0, pp=short, ep=params)
+    flip = executor.time_to_flip
+    monkeypatch.setattr(executor, "time_to_flip",
+                        lambda v, ep: 0.3 * flip(v, ep))
+    with pytest.raises(CalibrationError) as exc_info:
+        calibrate_pulse(params)
+    attempts = exc_info.value.report["attempts"]
+    assert len(attempts) == 11
+    for a in attempts:
+        assert f"ZERO at {a['v_w']:+.6g} V, half window" in a["rail_misses"]
 
 
 def test_pulse_params_validation():
@@ -434,9 +464,11 @@ def test_behavioral_writeback_matches_latch():
 # substep as one bracketed Newton in eta1 along y(eta1), the divider
 # warm-started from the last eta1 pair, and cells on an undriven
 # (ground) line left floating: no half-select pulses, so bitline
-# currents carry no half-select leakage and read cells no drift
+# currents carry no half-select leakage and read cells no drift; the
+# pulse's i_spike judged on the run's 40-sample marches (the traces
+# hashed after it are unchanged by that)
 GOLDEN_DEVICE_MATRIX = \
-    "432b6ac04861bcf1b83d815886711912805fa8c8304d3aa234f07a8a85dd74b6"
+    "dcdd77b53d7f45b884b0d9d73f327ac37a446a7b80a2715ca2b940f2b0e23aea"
 
 
 def test_device_matrix_golden(pulse, device_matrix):
@@ -574,6 +606,11 @@ def test_one_march_carries_the_rail_pulses(name, scale):
                 == (last[4:6], last[7], rows[:n]), (v, n)
             assert crs_pulse(one, -v, dur, p, n_samples=n) \
                 == (_mirror(last)[4:6], last[6], mirrored[:n]), (v, n)
+        # the grid of calibration's half-select marches
+        if abs(v) < pp.v_w:
+            xs, _, rows = crs_pulse(zero, v, pp.t_pulse, p, n_samples=4)
+            assert crs_pulse(one, -v, pp.t_pulse, p, n_samples=4) \
+                == (xs[::-1], rows[-1][6], [_mirror(r) for r in rows]), v
 
 
 def test_samples_per_pulse_must_be_even(params, pulse, monkeypatch):
@@ -772,17 +809,17 @@ def test_device_wide_trace_golden(params, pulse, cached_crs_pulse,
 def test_device_decodes_only_moved_cells(params, pulse, cached_crs_pulse,
                                          monkeypatch, gen):
     """A device cell's state is the rail its last pulse wrote, so a run
-    decodes no gaps at all."""
+    classifies no gaps at all."""
     prog = gen(16)
     a, b = _wide_operands("random", 16)
     calls = []
 
-    def counted(xs, gap_threshold):
-        calls.append(xs)
-        return decode_state(xs, gap_threshold)
+    def counted(x_top, x_bot, gap_threshold):
+        calls.append((x_top, x_bot))
+        return classify(x_top, x_bot, gap_threshold)
 
     monkeypatch.setattr(executor, "crs_pulse", cached_crs_pulse)
-    monkeypatch.setattr(executor, "decode_state", counted)
+    monkeypatch.setattr(executor, "classify", counted)
     tr = run_device(prog, a, b, 0, pp=pulse, ep=params)
     assert tr.result_bits == run_behavioral(prog, a, b, 0).result_bits
     assert calls == []

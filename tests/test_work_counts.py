@@ -22,12 +22,12 @@ def test_two_invocations_print_identical_counts():
     lines = first.splitlines()
     assert lines[0].split() == ["section", "evaluate_branch", "solve_cell_dc",
                                 "solve_crs_divider", "crs_pulse",
-                                "decode_state"]
+                                "classify"]
     (runs,) = [line for line in lines if line.startswith("runs (1)")]
-    *solver, pulses, decodes = (int(n) for n in runs.split()[-5:])
+    *solver, pulses, states = (int(n) for n in runs.split()[-5:])
     assert all(n > 0 for n in (*solver, pulses))
     # one march from ZERO per voltage: every pulse of a run starts on a
     # rail at +-V_w, and ONE at -v is ZERO at +v mirrored
     assert pulses <= 2
     # a device cell's state is the rail its last pulse wrote
-    assert decodes == 0
+    assert states == 0
